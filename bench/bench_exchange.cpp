@@ -1,6 +1,6 @@
 // Run-packed multi-shard exchange: isolated phase timings + staged bytes/row.
 //
-// The S>1 exchange is the transport bottleneck of the sharded engine: every
+// The S>1 exchange is the bottleneck of the sharded engine: every
 // message crosses from its source shard's outbox to its destination shard's
 // arena through a staging hop. This bench isolates that hop. The workload is
 // bench_parallel_scaling's hash-driven drive (every node sends `cap` one-word
@@ -12,7 +12,7 @@
 //   deliver_sec — phase 2: gather runs -> column unpack -> receive cap
 //   exchange_sec— the whole EndRound (flush + barrier handoff + deliver)
 //
-// plus the wire-format accounting the CI gate pins: staged_bytes_per_row
+// plus the row-size accounting the CI gate pins: staged_bytes_per_row
 // must stay at kPackedRowBytes (24) for this spill-free workload — a
 // regression back toward per-column scatters or a fatter row shows up here
 // before it shows up as lost rounds/sec. On multicore hosts the companion
@@ -22,22 +22,6 @@
 // --cap / --rounds / --seed; restrict the sweep with --shards S; emit JSON
 // with --json out.json (recorded at the repo root as BENCH_exchange.json).
 //
-// --ranks R appends a `rank_exchange` table: the same drive through
-// RankNetwork (R ranks × S shards each over LoopbackTransport, every
-// cross-rank run framed per sim/transport.hpp) against a fresh
-// ShardedNetwork at R×S total shards — the matches_sharded column is the
-// bit-identity acceptance check, and the wire_* columns report the frames,
-// bytes, and wall time the exchange window shipped.
-//
-// Unless the sweep is restricted with --shards, a `merged_exchange` table
-// compares S=32 with the merged single-buffer all-to-all (one run per
-// destination + shared offset matrix, EngineConfig::merge_runs_min_shards)
-// against the same run with merging disabled: checksums must be identical,
-// staged bytes must NOT double-count (bytes/row stays at 24 in both modes —
-// the merge is a repack, not a second hop), and the CI gate pins merged
-// wall time <= unmerged. --merge-min M overrides the merge threshold for
-// the main sweep (0 disables).
-//
 // --relabel appends a second table, `locality`: a neighbor-fanout workload
 // on a generated graph (--topology, default ba), run plain vs relabeled
 // through graph/partition.hpp at each S. Columns report the shard-local
@@ -45,7 +29,6 @@
 // overlapped-flush telemetry (hidden_sec = pack work that ran during
 // compute, off the exchange critical path). The CI locality gate pins the
 // BA staged-bytes drop at >= 20% and the hidden fraction > 0.
-#include <algorithm>
 #include <cstdio>
 #include <thread>
 
@@ -54,7 +37,6 @@
 #include "graph/partition.hpp"
 #include "graph/scenario_gen.hpp"
 #include "sim/network.hpp"
-#include "sim/rank_network.hpp"
 #include "sim/sharded_network.hpp"
 
 using namespace overlay;
@@ -83,9 +65,6 @@ int main(int argc, char** argv) {
   const std::size_t rounds = SizeFlag(argc, argv, "--rounds", 25);
   const std::uint64_t seed = SizeFlag(argc, argv, "--seed", 7);
   const std::size_t only_shards = SizeFlag(argc, argv, "--shards", 0);
-  const std::size_t ranks = SizeFlag(argc, argv, "--ranks", 0);
-  const std::size_t merge_min =
-      SizeFlag(argc, argv, "--merge-min", EngineConfig{}.merge_runs_min_shards);
 
   bench::Banner(
       "Run-packed multi-shard exchange",
@@ -99,9 +78,8 @@ int main(int argc, char** argv) {
   bench::JsonReport json(argc, argv, "bench_exchange");
   bench::Table t({"shards", "rounds_per_sec", "speedup", "send_sec",
                   "flush_sec", "deliver_sec", "exchange_sec", "staged_rows",
-                  "staged_bytes", "staged_bytes_per_row", "merged_runs",
-                  "offset_matrix_bytes", "arena_bytes_moved", "checksum",
-                  "matches_sync"});
+                  "staged_bytes", "staged_bytes_per_row", "arena_bytes_moved",
+                  "checksum", "matches_sync"});
 
   SyncNetwork sync({.num_nodes = n, .capacity = cap, .seed = seed});
   const RunResult base = RunHashedWorkload(sync, rounds, cap);
@@ -111,10 +89,8 @@ int main(int argc, char** argv) {
   double s1_seconds = base.seconds;
   bool ok = true;
   for (const std::size_t shards : sweep) {
-    EngineConfig cfg{.num_nodes = n, .capacity = cap, .seed = seed,
-                     .exec = {.num_shards = shards}};
-    cfg.merge_runs_min_shards = merge_min;
-    ShardedNetwork net(cfg);
+    ShardedNetwork net({.num_nodes = n, .capacity = cap, .seed = seed,
+                        .exec = {.num_shards = shards}});
     const RunResult r = RunHashedWorkload(net, rounds, cap);
     if (shards == 1) s1_seconds = r.seconds;
     const bool matches =
@@ -131,91 +107,11 @@ int main(int argc, char** argv) {
     t.Row(shards, rounds / r.seconds, s1_seconds / r.seconds,
           r.seconds - r.exchange_sec, r.flush_sec, r.deliver_sec,
           r.exchange_sec, net.staged_rows(), net.staged_bytes(), per_row,
-          net.merged_runs(), net.offset_matrix_bytes(),
           net.arena_bytes_moved(), r.checksum, matches);
   }
 
   t.Print();
   json.Add("exchange_phases", t);
-
-  if (ranks != 0) {
-    // Rank-backed exchange: the same workload through RankNetwork at R
-    // ranks × S shards per rank over LoopbackTransport, checked bit-for-bit
-    // against a fresh ShardedNetwork at R×S total shards (the construction
-    // RankNetwork wraps, so checksums AND stats must be identical).
-    std::printf("\nrank exchange: ranks=%zu (alltoallv over framed PackedRow "
-                "runs, loopback transport)\n", ranks);
-    std::vector<std::size_t> rank_sweep{1, 2};
-    if (only_shards != 0) rank_sweep.assign(1, only_shards);
-    bench::Table rt({"ranks", "shards_per_rank", "total_shards",
-                     "rounds_per_sec", "wire_frames", "wire_frame_bytes",
-                     "wire_rows", "wire_spill", "wire_sec", "merged_runs",
-                     "checksum", "matches_sharded"});
-    for (const std::size_t shards : rank_sweep) {
-      EngineConfig ref_cfg{.num_nodes = n, .capacity = cap, .seed = seed,
-                           .exec = {.num_shards = ranks * shards}};
-      ref_cfg.merge_runs_min_shards = merge_min;
-      ShardedNetwork ref(ref_cfg);
-      const RunResult want = RunHashedWorkload(ref, rounds, cap);
-      EngineConfig cfg{.num_nodes = n, .capacity = cap, .seed = seed,
-                       .exec = {.num_shards = shards}, .num_ranks = ranks};
-      cfg.merge_runs_min_shards = merge_min;
-      RankNetwork net(cfg);
-      const RunResult r = RunHashedWorkload(net, rounds, cap);
-      const bool matches =
-          r.checksum == want.checksum && r.stats == want.stats;
-      ok = ok && matches;
-      rt.Row(ranks, shards, net.num_shards(), rounds / r.seconds,
-             net.frames_sent(), net.frame_bytes_sent(), net.wire_rows_sent(),
-             net.wire_spill_sent(), net.wire_seconds(), net.merged_runs(),
-             r.checksum, matches);
-    }
-    rt.Print();
-    json.Add("rank_exchange", rt);
-  }
-
-  if (only_shards == 0) {
-    // Merged vs unmerged all-to-all at S = 32 (ROADMAP item b): identical
-    // checksums and staged-byte accounting — the merge collapses the
-    // per-(segment, destination) O(S²) small runs into one buffer per
-    // destination behind a shared offset matrix, and must repack, not
-    // re-count. The CI gate pins merged wall <= unmerged and bytes/row <= 24.
-    const std::size_t ms = 32;
-    std::printf("\nmerged exchange: S=%zu merged (min_shards=%zu) vs "
-                "unmerged (merging disabled)\n", ms, ms);
-    bench::Table mt({"mode", "shards", "rounds_per_sec", "exchange_sec",
-                     "staged_rows", "staged_bytes", "staged_bytes_per_row",
-                     "merged_runs", "offset_matrix_bytes", "checksum"});
-    std::uint64_t checksums[2] = {0, 0};
-    // Both modes use the same segment size, chosen so every shard seals
-    // several segments per round even at small --n — otherwise there is
-    // nothing to merge and the comparison is vacuous.
-    const std::size_t seg_rows = std::clamp<std::size_t>(
-        n * cap / ms / 4, 16, EngineConfig{}.outbox_segment_rows);
-    for (const bool merged : {true, false}) {
-      EngineConfig cfg{.num_nodes = n, .capacity = cap, .seed = seed,
-                       .exec = {.num_shards = ms}};
-      cfg.outbox_segment_rows = seg_rows;
-      cfg.merge_runs_min_shards = merged ? ms : 0;
-      ShardedNetwork net(cfg);
-      const RunResult r = RunHashedWorkload(net, rounds, cap);
-      checksums[merged ? 0 : 1] = r.checksum;
-      const double per_row =
-          net.staged_rows() == 0
-              ? 0.0
-              : static_cast<double>(net.staged_bytes()) /
-                    static_cast<double>(net.staged_rows());
-      mt.Row(merged ? "merged" : "unmerged", ms, rounds / r.seconds,
-             r.exchange_sec, net.staged_rows(), net.staged_bytes(), per_row,
-             net.merged_runs(), net.offset_matrix_bytes(), r.checksum);
-    }
-    ok = ok && checksums[0] == checksums[1];
-    if (checksums[0] != checksums[1]) {
-      std::fprintf(stderr, "FAIL: merged S=%zu checksum diverged\n", ms);
-    }
-    mt.Print();
-    json.Add("merged_exchange", mt);
-  }
 
   if (HasFlag(argc, argv, "--relabel")) {
     gen::Topology topo = gen::Topology::kBarabasiAlbert;

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <chrono>
-#include <concepts>
 #include <type_traits>
 
 #include "graph/graph.hpp"
@@ -18,28 +17,10 @@
 
 namespace overlay::bench {
 
-/// Shape probe for ShardDriven (a lambda would make the concept ill-formed
-/// to spell twice — a named functor keeps the requires-expression stable).
-struct NodeNoop {
-  void operator()(NodeId) const {}
-};
-
-/// Engines that drive per-node work on their own shard workers
-/// (ShardedNetwork, RankNetwork, …) versus serially-driven ones
-/// (SyncNetwork). Structural, not nominal: any future engine exposing
-/// ForEachNode gets the parallel drive for free.
+/// The sharded engine drives per-node work on its own shard workers and
+/// reports the two-phase exchange telemetry; SyncNetwork runs serially.
 template <typename Net>
-concept ShardDriven = requires(Net& n) { n.ForEachNode(NodeNoop{}); };
-
-/// Engines exposing the two-phase exchange telemetry the benches report.
-template <typename Net>
-concept PhaseTimed = requires(const Net& n) {
-  { n.exchange_seconds() } -> std::convertible_to<double>;
-  { n.exchange_flush_seconds() } -> std::convertible_to<double>;
-  { n.exchange_deliver_seconds() } -> std::convertible_to<double>;
-  { n.exchange_barrier_seconds() } -> std::convertible_to<double>;
-  { n.hidden_flush_seconds() } -> std::convertible_to<double>;
-};
+inline constexpr bool kShardDriven = std::is_same_v<Net, ShardedNetwork>;
 
 /// Destination hash: a pure function of (node, round, send index), so every
 /// engine sees the identical send sequence.
@@ -87,7 +68,7 @@ RunResult RunHashedWorkload(Net& net, std::size_t rounds, std::size_t sends) {
       }
     };
     const auto start = std::chrono::steady_clock::now();
-    if constexpr (ShardDriven<Net>) {
+    if constexpr (kShardDriven<Net>) {
       net.ForEachNode(drive);
     } else {
       for (NodeId v = 0; v < n; ++v) drive(v);
@@ -99,7 +80,7 @@ RunResult RunHashedWorkload(Net& net, std::size_t rounds, std::size_t sends) {
   }
   r.checksum = checksum;
   r.stats = net.stats();
-  if constexpr (PhaseTimed<Net>) {
+  if constexpr (kShardDriven<Net>) {
     r.flush_sec = net.exchange_flush_seconds();
     r.exchange_sec = net.exchange_seconds();
     r.deliver_sec = net.exchange_deliver_seconds();
@@ -125,7 +106,7 @@ RunResult RunGraphFanoutWorkload(Net& net, const Graph& g,
       net.SendFanout(v, g.Neighbors(v), /*kind=*/1, DestHash(v, round, 0));
     };
     const auto start = std::chrono::steady_clock::now();
-    if constexpr (ShardDriven<Net>) {
+    if constexpr (kShardDriven<Net>) {
       net.ForEachNode(drive);
     } else {
       for (NodeId v = 0; v < g.num_nodes(); ++v) drive(v);
@@ -137,7 +118,7 @@ RunResult RunGraphFanoutWorkload(Net& net, const Graph& g,
   }
   r.checksum = checksum;
   r.stats = net.stats();
-  if constexpr (PhaseTimed<Net>) {
+  if constexpr (kShardDriven<Net>) {
     r.flush_sec = net.exchange_flush_seconds();
     r.exchange_sec = net.exchange_seconds();
     r.deliver_sec = net.exchange_deliver_seconds();

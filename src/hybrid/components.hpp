@@ -32,14 +32,14 @@ struct ComponentOverlay {
 };
 
 struct HybridOverlayOptions {
-  SpannerOptions spanner;
-  HybridExpanderOptions expander;
+  SpannerOptions spanner{};
+  HybridExpanderOptions expander{};
   std::uint64_t seed = 1;
   /// Engine executing the measured message-passing phases (BFS floods).
   /// `engine.num_nodes/capacity/seed` are set per phase by the driver;
   /// `engine.exec`/max_delay pass through to the selected engine.
   EngineKind engine_kind = EngineKind::kSync;
-  EngineConfig engine;
+  EngineConfig engine{};
   /// Worker count for building independent component overlays concurrently
   /// on the persistent shard pool (components run in parallel in the model;
   /// this makes the simulator match). Each component's seed is fixed by its

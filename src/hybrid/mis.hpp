@@ -30,7 +30,7 @@ struct MisOptions {
   std::size_t executions = 0;
   /// Safety cap on rounds per execution (components are tiny; generous).
   std::size_t max_execution_rounds = 512;
-  HybridOverlayOptions overlay;
+  HybridOverlayOptions overlay{};
   std::uint64_t seed = 1;
 };
 

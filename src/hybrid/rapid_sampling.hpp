@@ -46,7 +46,7 @@ struct RapidSamplingOptions {
   /// the shared contract). Which tokens pair up varies with the streams, so
   /// survivor sets differ across shard counts while the round count and
   /// the survivor distribution are unchanged.
-  ExecPolicy exec;
+  ExecPolicy exec{};
 };
 
 struct RapidSamplingResult {

@@ -473,9 +473,7 @@ ScenarioState BeginScenario(const Graph& start, const ScenarioOptions& opts) {
   if (opts.recovery == RecoveryMode::kRepair) {
     st.tree = BuildBfsTree(
         st.overlay, opts.engine,
-        EngineConfig{.seed = opts.seed,
-                     .exec = opts.strike_opts.exec,
-                     .num_ranks = opts.num_ranks});
+        EngineConfig{.seed = opts.seed, .exec = opts.strike_opts.exec});
   }
   return st;
 }
@@ -605,9 +603,7 @@ bool RunScenarioEpoch(ScenarioState& st, const StrikeStrategy& strategy,
     if (!repaired) {
       st.tree = BuildBfsTree(
           churn.largest_component, opts.engine,
-          EngineConfig{.seed = opts.seed + epoch + 1,
-                       .exec = exec,
-                       .num_ranks = opts.num_ranks});
+          EngineConfig{.seed = opts.seed + epoch + 1, .exec = exec});
       st.recovery = RecoveryState{};
       all_repaired = false;
     }

@@ -170,9 +170,6 @@ struct ScenarioOptions {
   RecoveryMode recovery = RecoveryMode::kRebuild;
   /// Engine the rebuild flood runs on (repair is engine-free compute).
   EngineKind engine = EngineKind::kSharded;
-  /// Rank count when `engine` is kRank (strike_opts.exec.num_shards becomes
-  /// shards *per rank*); ignored by every other engine.
-  std::size_t num_ranks = 1;
   std::uint64_t seed = 1;
   /// Measure the post-strike component's approximate diameter (double-sweep
   /// BFS) each epoch. Off by default — it is measurement, not protocol.

@@ -10,7 +10,6 @@
 #include "graph/metrics.hpp"
 #include "graph/partition.hpp"
 #include "sim/async_network.hpp"
-#include "sim/rank_network.hpp"
 #include "sim/shard_pool.hpp"
 #include "sim/sharded_network.hpp"
 
@@ -80,12 +79,10 @@ BfsTreeResult BuildBfsTree(const Graph& g, EngineConfig cfg) {
   bool any_activity = true;
   while (any_activity) {
     any_activity = false;
-    if constexpr (std::is_same_v<Engine, ShardedNetwork> ||
-                  std::is_same_v<Engine, RankNetwork>) {
+    if constexpr (std::is_same_v<Engine, ShardedNetwork>) {
       // Sharded protocol compute: every shard drives its node range on its
-      // pool worker (the rank engine forwards to its inner sharded engine).
-      // The body draws no randomness, so the result is identical to the
-      // serial drive for every shard count.
+      // pool worker. The body draws no randomness, so the result is
+      // identical to the serial drive for every shard count.
       std::vector<char> shard_active(net.num_shards(), 0);
       net.ForEachShard([&](std::size_t s, NodeId lo, NodeId hi) {
         char active = 0;
@@ -121,7 +118,6 @@ template BfsTreeResult BuildBfsTree<SyncNetwork>(const Graph&, EngineConfig);
 template BfsTreeResult BuildBfsTree<AsyncNetwork>(const Graph&, EngineConfig);
 template BfsTreeResult BuildBfsTree<ShardedNetwork>(const Graph&,
                                                     EngineConfig);
-template BfsTreeResult BuildBfsTree<RankNetwork>(const Graph&, EngineConfig);
 
 BfsTreeResult BuildBfsTree(const Graph& g, std::size_t capacity,
                            std::uint64_t seed) {
@@ -151,11 +147,6 @@ BfsTreeResult BuildBfsTree(const Graph& g, EngineKind kind, EngineConfig cfg) {
       out.depth = MapValuesBack<std::uint32_t>(r, out.depth);
       return out;
     }
-    case EngineKind::kRank:
-      // Rank-backed flood: same drive as kSharded (the rank engine exposes
-      // ForEachShard), with the cross-rank exchange under EndRound. The
-      // locality relabel pass is a kSharded-only opt-in for now.
-      return BuildBfsTree<RankNetwork>(g, cfg);
     case EngineKind::kSync:
       break;
   }

@@ -36,7 +36,6 @@ namespace overlay {
 
 class ShardPool;
 ShardPool& DefaultShardPool();
-class Transport;  // rank-to-rank byte mover (sim/transport.hpp)
 
 /// The one execution-context struct of the simulator: how much parallelism
 /// to use and which worker pool to run it on. Every driver that used to
@@ -106,37 +105,18 @@ struct EngineConfig {
   /// AsyncNetwork: slowest message delay D, in time steps.
   std::size_t max_delay = 1;
   /// ShardedNetwork: shard count + pool (see ExecPolicy for the contract).
-  ExecPolicy exec;
+  ExecPolicy exec{};
   /// ShardedNetwork: outbox rows a shard buffers before it eagerly packs the
   /// segment into staging runs *while protocol compute continues* — the
   /// overlap that hides flush work behind compute. Determinism keys off
   /// logical send order, never arrival order, so the cut points cannot
   /// affect results; tests shrink this to force multi-segment rounds.
   std::size_t outbox_segment_rows = 4096;
-  /// ShardedNetwork: at S >= this many shards, each *eager* seal folds the
-  /// fresh segment into a coalesced all-to-all buffer holding one contiguous
-  /// run per destination plus a shared (S + 1)-entry offset matrix row — the
-  /// exact layout a rank alltoallv ships. The fold runs in hidden time
-  /// (overlapped with compute, never on the exchange critical path); the
-  /// flush-time tail trails the merged prefix as one extra run per
-  /// destination, so the wire sees at most 2 runs per (source, destination)
-  /// instead of O(segments). Pure repack: walk order, spill buffers, and
-  /// every checksum are unchanged (gated by the differential harness).
-  /// 0 disables merging at every S.
-  std::size_t merge_runs_min_shards = 32;
-  /// RankNetwork: rank count R (each rank owns a contiguous block of the
-  /// R * exec.num_shards total shards, hence a contiguous node range).
-  /// Ignored by every other engine.
-  std::size_t num_ranks = 1;
-  /// RankNetwork: transport backend for the cross-rank exchange; nullptr =
-  /// an engine-owned LoopbackTransport on exec's pool. Not owned; must
-  /// outlive the engine. Ignored by every other engine.
-  Transport* transport = nullptr;
 };
 
 /// Runtime engine selector for drivers that take the choice as data (e.g.
 /// hybrid pipeline options) rather than as a template parameter.
-enum class EngineKind { kSync, kAsync, kSharded, kRank };
+enum class EngineKind { kSync, kAsync, kSharded };
 
 /// Enforces the per-node receive cap on one offered bucket — the row range
 /// [begin, begin + offered) of `bucket` — in place: when `offered > capacity`
@@ -209,7 +189,7 @@ concept NetworkEngine =
       // sends bypass the hop and pay nothing). Deliberately outside
       // NetworkStats: the stats counters are part of the cross-engine
       // bit-identity contract and stay byte-for-byte unchanged by layout
-      // and transport work.
+      // work.
       { ce.arena_bytes_moved() } -> std::convertible_to<std::uint64_t>;
     };
 

@@ -58,8 +58,7 @@ static_assert(sizeof(ExtWords) == 8 * (kMessageWords - 1),
               "spill entries must pack the extra words with no padding");
 static_assert(alignof(ExtWords) == 8, "spill arena is 8-byte aligned");
 static_assert(std::is_trivially_copyable_v<ExtWords>,
-              "spill runs must be bulk-copyable (they ship inside the rank "
-              "exchange frames of sim/transport.hpp)");
+              "spill runs must be bulk-copyable between shards");
 static_assert(kSoaRowBytes == 20, "SoA row is 20 bytes (62.5% of the AoS row)");
 static_assert(kAosRowBytes == 32, "Message is 32 bytes");
 
@@ -74,15 +73,12 @@ struct Envelope {
 
 static_assert(sizeof(Envelope) == 16, "Envelope packs to two words");
 
-/// One staged message row of the multi-shard exchange, packed for the wire:
-/// routing plus the full one-word payload in 24 contiguous bytes. Row ops
-/// (the staging scatter/gather hop) want AoS — one store moves the whole
-/// row and touches one cache line — while arena scans stay SoA; PackedRow is
-/// the AoS side of that split. `ext` indexes the side spill buffer the row
-/// was packed against (kNoExt = one-word message). This layout IS the wire
-/// format of the rank-partitioned exchange: a staging run per destination is
-/// one contiguous send buffer, shipped verbatim (rows + its spill buffer)
-/// behind the run frame header of sim/transport.hpp.
+/// One staged message row of the multi-shard exchange: routing plus the
+/// full one-word payload in 24 contiguous bytes. Row ops (the staging
+/// scatter/gather hop) want AoS — one store moves the whole row and touches
+/// one cache line — while arena scans stay SoA; PackedRow is the AoS side of
+/// that split. `ext` indexes the side spill buffer the row was packed
+/// against (kNoExt = one-word message).
 struct PackedRow {
   NodeId to = kInvalidNode;
   NodeId src = kInvalidNode;
@@ -211,8 +207,8 @@ class MessageSoA {
   /// this buffer (it may be cleared or reused while they are in flight).
   /// Callers keep one `spill_out` *per destination run* (the sharded
   /// engine's spill_by_dst), so every run plus its own side buffer is
-  /// self-contained — resolvable, and shippable to a remote rank, without
-  /// any other destination's spill entries.
+  /// self-contained — resolvable without any other destination's spill
+  /// entries.
   PackedRow PackRow(NodeId to, std::size_t i,
                     std::vector<ExtWords>& spill_out) const {
     PackedRow row{to, src_[i], kind_[i], kNoExt, word0_[i]};

@@ -293,7 +293,7 @@ void RunShardedBlocks(
   }
   const std::size_t block = (n + s_count - 1) / s_count;
   pool.Run(s_count, [&](std::size_t s) {
-    f(s, s * block, std::min(n, (s + 1) * block));
+    f(s, std::min(n, s * block), std::min(n, (s + 1) * block));
   });
 }
 
@@ -307,7 +307,7 @@ void RunDynamicBlocks(
   }
   const std::size_t block = (n + c_count - 1) / c_count;
   pool.RunDynamic(workers, c_count, [&](std::size_t c, std::size_t) {
-    f(c, c * block, std::min(n, (c + 1) * block));
+    f(c, std::min(n, c * block), std::min(n, (c + 1) * block));
   });
 }
 

@@ -133,7 +133,9 @@ ShardPool& DefaultShardPool();
 /// [0, n) into `shards` contiguous blocks and runs f(s, lo, hi) once per
 /// shard on `pool` (inline and serial when shards <= 1). `shards` is
 /// clamped to n, so callers sizing per-shard state by their own
-/// min(shards, n) agree with the blocks f sees. A body without randomness
+/// min(shards, n) agree with the blocks f sees. Blocks are ceil(n / shards)
+/// long, so trailing blocks may be empty (lo == hi == n; e.g. n = 9 over 8
+/// shards leaves blocks 5–7 empty). A body without randomness
 /// is shard-count-invariant; one with per-shard RNG streams indexed by `s`
 /// is deterministic for a fixed (seed, shards).
 void RunShardedBlocks(
@@ -153,7 +155,7 @@ inline constexpr std::size_t kStealChunksPerWorker = 4;
 /// randomness-free f is deterministic, and one that indexes per-chunk state
 /// (e.g. a split RNG stream per chunk) is deterministic for fixed
 /// (seed, chunks). chunks is clamped to n; chunks <= 1 runs f(0, 0, n)
-/// inline.
+/// inline. As in RunShardedBlocks, trailing blocks may be empty.
 void RunDynamicBlocks(
     ShardPool& pool, std::size_t n, std::size_t workers, std::size_t chunks,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& f);

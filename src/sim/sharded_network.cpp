@@ -17,7 +17,6 @@ ShardedNetwork::ShardedNetwork(const Config& config)
     : num_nodes_(config.num_nodes),
       capacity_(config.capacity),
       segment_rows_(std::max<std::size_t>(1, config.outbox_segment_rows)),
-      merge_min_(config.merge_runs_min_shards),
       pool_(&config.exec.Pool()),
       sent_this_round_(config.num_nodes, 0),
       total_sent_(config.num_nodes, 0) {
@@ -162,8 +161,8 @@ void ShardedNetwork::SealSegment(std::size_t s) {
 
   // Pack each row exactly once with one 24-byte store. A cross-shard spill
   // payload lands in its *destination's* side buffer with a positional
-  // index, so each destination's runs + spill buffer are self-contained
-  // (shippable to a remote rank as-is); self spills keep their own buffer.
+  // index, so each destination's runs + spill buffer are self-contained;
+  // self spills keep their own buffer.
   std::size_t cross_spills = 0;
   for (std::size_t i = 0; i < rows; ++i) {
     const NodeId to = shard.outbox_to[i];
@@ -197,14 +196,6 @@ void ShardedNetwork::MaybeSealSegment(std::size_t s) {
   const auto t0 = Clock::now();
   ResetStagingIfStale(shard);
   SealSegment(s);
-  // At S >= merge_min_ the all-to-all buffer is maintained incrementally:
-  // each eager seal folds the fresh segment into the merged prefix right
-  // here, in hidden time. A merged prefix is just "segment 0" to
-  // MergeStagedRuns, so the fold is the same repack as the first merge —
-  // and the exchange critical path never pays for it (finalizing a single
-  // contiguous buffer at flush would force an O(staged) copy there, since
-  // tail rows interleave into every destination block).
-  if (merge_min_ != 0 && shards_.size() >= merge_min_) MergeStagedRuns(s);
   shard.hidden_pack_seconds += Seconds(t0, Clock::now());
 }
 
@@ -231,54 +222,11 @@ void ShardedNetwork::FlushOutbox(std::size_t s) {
   // Seal the tail segment (everything sent since the last eager seal). A
   // round with no sends still resets stale staging here so phase 2 never
   // re-reads last round's runs. Only the pack work is timed: barrier idle
-  // is accounted separately by EndRound. In merge mode the sealed prefix is
-  // already one coalesced buffer (folded at eager-seal time, off this
-  // critical path); the sub-segment tail rides behind it as one trailing
-  // run per destination, so the wire sees at most two runs per (s, d)
-  // instead of O(segments) — and this phase does exactly the same tail
-  // pack whether merging is on or off.
+  // is accounted separately by EndRound.
   const auto t0 = Clock::now();
   ResetStagingIfStale(shard);
   SealSegment(s);
   shard.phase_pack_seconds = Seconds(t0, Clock::now());
-}
-
-void ShardedNetwork::MergeStagedRuns(std::size_t s) {
-  Shard& shard = shards_[s];
-  const std::size_t segments = shard.segment_ready.size();
-  if (segments <= 1) return;  // already a single all-to-all buffer
-  const std::size_t s_count = shards_.size();
-
-  // Gather every destination's runs contiguously (segment order preserved —
-  // that IS the phase-2 walk order, so delivery and checksums are
-  // untouched). Spill side buffers are already per-destination and ordered
-  // the same way; they need no repack.
-  shard.merge_rows.resize(shard.staged.size());
-  shard.merge_offsets.assign(s_count + 1, 0);
-  std::size_t acc = 0;
-  for (std::size_t d = 0; d < s_count; ++d) {
-    shard.merge_offsets[d] = acc;
-    for (std::size_t g = 0; g < segments; ++g) {
-      const std::size_t b = shard.run_offsets[g * s_count + d];
-      const std::size_t e = shard.run_offsets[g * s_count + d + 1];
-      std::copy(shard.staged.begin() + b, shard.staged.begin() + e,
-                shard.merge_rows.begin() + acc);
-      acc += e - b;
-    }
-  }
-  shard.merge_offsets[s_count] = acc;
-  OVERLAY_CHECK(acc == shard.staged.size(),
-                "run merge must account for every staged row");
-
-  shard.staged.swap(shard.merge_rows);
-  shard.run_offsets.assign(shard.merge_offsets.begin(),
-                           shard.merge_offsets.end());
-  shard.segment_ready.assign(1, 1);
-  // Telemetry only — staged_rows/staged_bytes stay put: the rows crossed
-  // the hop exactly once and a repack is not a second hop (the bench's
-  // staged-bytes-per-row gate pins this).
-  shard.merged_runs += (segments - 1) * s_count;
-  shard.offset_matrix_bytes += (s_count + 1) * sizeof(std::size_t);
 }
 
 void ShardedNetwork::DeliverInboxes(std::size_t d) {
@@ -392,19 +340,9 @@ void ShardedNetwork::EndRound() {
   // bodies; the round's flush/deliver cost is the slowest shard's (the
   // critical path), and whatever EndRound wall time remains is barrier wait
   // plus pool handoff — reported separately so overlap wins are visible
-  // instead of being folded into the phase numbers. For the rank-backed
-  // engine, which ships runs between the phases, the wire time lands in the
-  // same residual.
-  BeginExchange();
-  FinishExchange();
-}
-
-void ShardedNetwork::BeginExchange() {
-  round_t0_ = Clock::now();
+  // instead of being folded into the phase numbers.
+  const auto t0 = Clock::now();
   pool_->Run(shards_.size(), [this](std::size_t s) { FlushOutbox(s); });
-}
-
-void ShardedNetwork::FinishExchange() {
   pool_->Run(shards_.size(), [this](std::size_t s) { DeliverInboxes(s); });
   const auto t1 = Clock::now();
   double pack_crit = 0;
@@ -416,83 +354,12 @@ void ShardedNetwork::FinishExchange() {
     // phase 2 is over, so no reader is left.
     shard.staging_stale = shards_.size() > 1;
   }
-  const double elapsed = Seconds(round_t0_, t1);
+  const double elapsed = Seconds(t0, t1);
   flush_seconds_ += pack_crit;
   deliver_seconds_ += deliver_crit;
   barrier_seconds_ += std::max(0.0, elapsed - pack_crit - deliver_crit);
   exchange_seconds_ += elapsed;
   ++rounds_;
-}
-
-std::size_t ShardedNetwork::CopyStagedRun(std::size_t s, std::size_t d,
-                                          std::vector<PackedRow>& rows) const {
-  OVERLAY_CHECK(s < shards_.size() && d < shards_.size(),
-                "staged run shard out of range");
-  const Shard& src = shards_[s];
-  OVERLAY_CHECK(!src.staging_stale,
-                "staged-run seam is only valid between Begin/FinishExchange");
-  const std::size_t s_count = shards_.size();
-  const std::size_t segments = src.segment_ready.size();
-  std::size_t appended = 0;
-  for (std::size_t g = 0; g < segments; ++g) {
-    const std::size_t run_begin = src.run_offsets[g * s_count + d];
-    const std::size_t run_end = src.run_offsets[g * s_count + d + 1];
-    rows.insert(rows.end(), src.staged.begin() + run_begin,
-                src.staged.begin() + run_end);
-    appended += run_end - run_begin;
-  }
-  return appended;
-}
-
-std::span<const ExtWords> ShardedNetwork::StagedSpill(std::size_t s,
-                                                      std::size_t d) const {
-  OVERLAY_CHECK(s < shards_.size() && d < shards_.size(),
-                "staged run shard out of range");
-  return shards_[s].spill_by_dst[d];
-}
-
-void ShardedNetwork::LoadStagedRun(std::size_t s, std::size_t d,
-                                   std::span<const PackedRow> rows,
-                                   std::span<const ExtWords> spill) {
-  OVERLAY_CHECK(s < shards_.size() && d < shards_.size(),
-                "staged run shard out of range");
-  Shard& src = shards_[s];
-  const std::size_t s_count = shards_.size();
-  const std::size_t segments = src.segment_ready.size();
-  std::size_t cursor = 0;
-  for (std::size_t g = 0; g < segments; ++g) {
-    const std::size_t run_begin = src.run_offsets[g * s_count + d];
-    const std::size_t run_end = src.run_offsets[g * s_count + d + 1];
-    const std::size_t count = run_end - run_begin;
-    OVERLAY_CHECK(cursor + count <= rows.size(),
-                  "loaded run shorter than the staged layout");
-    std::copy_n(rows.begin() + cursor, count, src.staged.begin() + run_begin);
-    cursor += count;
-  }
-  OVERLAY_CHECK(cursor == rows.size(),
-                "loaded run longer than the staged layout");
-  src.spill_by_dst[d].assign(spill.begin(), spill.end());
-}
-
-void ShardedNetwork::PoisonStagedRun(std::size_t s, std::size_t d) {
-  OVERLAY_CHECK(s < shards_.size() && d < shards_.size(),
-                "staged run shard out of range");
-  Shard& src = shards_[s];
-  const std::size_t s_count = shards_.size();
-  const std::size_t segments = src.segment_ready.size();
-  PackedRow poison;
-  poison.to = ShardBase(d);  // in-bounds: delivery stays safe, checksums break
-  poison.src = ShardBase(s);
-  poison.kind = 0xDEADu;
-  poison.ext = kNoExt;
-  poison.word0 = 0xDEADBEEFDEADBEEFull;
-  for (std::size_t g = 0; g < segments; ++g) {
-    const std::size_t run_begin = src.run_offsets[g * s_count + d];
-    const std::size_t run_end = src.run_offsets[g * s_count + d + 1];
-    std::fill(src.staged.begin() + run_begin, src.staged.begin() + run_end,
-              poison);
-  }
-  src.spill_by_dst[d].clear();
 }
 
 NetworkStats ShardedNetwork::stats() const {
@@ -517,18 +384,6 @@ std::uint64_t ShardedNetwork::staged_rows() const {
 std::uint64_t ShardedNetwork::staged_bytes() const {
   std::uint64_t total = 0;
   for (const Shard& shard : shards_) total += shard.staged_bytes;
-  return total;
-}
-
-std::uint64_t ShardedNetwork::merged_runs() const {
-  std::uint64_t total = 0;
-  for (const Shard& shard : shards_) total += shard.merged_runs;
-  return total;
-}
-
-std::uint64_t ShardedNetwork::offset_matrix_bytes() const {
-  std::uint64_t total = 0;
-  for (const Shard& shard : shards_) total += shard.offset_matrix_bytes;
   return total;
 }
 

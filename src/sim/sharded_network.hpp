@@ -52,7 +52,6 @@
 #pragma once
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -105,57 +104,7 @@ class ShardedNetwork {
   InboxView Inbox(NodeId v) const;
 
   /// Closes the round with the two-phase parallel exchange described above.
-  /// Equivalent to BeginExchange(); FinishExchange().
   void EndRound();
-
-  // ---- split-phase EndRound: the rank layer's exchange window ----
-  //
-  // The rank-backed engine (sim/rank_network.hpp) needs to ship cross-rank
-  // staging runs through a Transport between the two phases. BeginExchange
-  // runs phase 1 on the pool (tail seals; at S >= merge_runs_min_shards the
-  // sealed prefix was already coalesced eagerly, so the tail just trails it
-  // as one run per destination) and returns with every staging run sealed;
-  // FinishExchange runs
-  // phase 2 (gather/unpack/cap) and closes the round. In between, no worker
-  // touches staging state, so the caller may read, poison, and reload runs
-  // through the staged-run seam below — that window is the in-process
-  // stand-in for the wire. Determinism is unaffected: the split changes only
-  // where the barrier lives, never what either phase computes.
-
-  /// Phase 1 of EndRound. Must be balanced by exactly one FinishExchange().
-  void BeginExchange();
-  /// Phase 2 of EndRound: delivery, timer fold, round increment.
-  void FinishExchange();
-
-  // ---- staged-run seam (valid only between Begin/FinishExchange, S > 1) --
-
-  /// Appends the rows staged from source shard `s` to destination shard `d`
-  /// (all sealed segments, phase-2 walk order = logical send order) to
-  /// `rows`; returns the appended count. The rows' `ext` fields are
-  /// positional indices into StagedSpill(s, d), so (rows, spill) is the
-  /// self-contained unit the wire ships.
-  std::size_t CopyStagedRun(std::size_t s, std::size_t d,
-                            std::vector<PackedRow>& rows) const;
-
-  /// The per-destination spill side buffer the (s → d) runs were packed
-  /// against (in run walk order; may be longer-lived entries only when a
-  /// caller loads one back — see LoadStagedRun).
-  std::span<const ExtWords> StagedSpill(std::size_t s, std::size_t d) const;
-
-  /// Replaces the staged (s → d) run payloads with deserialized wire data:
-  /// `rows` in walk order (count must equal the staged layout's — the wire
-  /// moves payloads, the in-process layout keeps the routing shape) and the
-  /// spill side buffer their `ext` indices point into.
-  void LoadStagedRun(std::size_t s, std::size_t d,
-                     std::span<const PackedRow> rows,
-                     std::span<const ExtWords> spill);
-
-  /// Scrambles the staged (s → d) run payloads (destinations kept in-shard
-  /// so delivery stays in-bounds) and clears the spill buffer. The rank
-  /// layer poisons every run it serialized so that a transport that fails
-  /// to redeliver one breaks checksums deterministically instead of
-  /// silently passing on stale in-process state.
-  void PoisonStagedRun(std::size_t s, std::size_t d);
 
   /// Advances the round counter by `k` without message activity (see
   /// SyncNetwork::SkipRounds).
@@ -179,17 +128,6 @@ class ShardedNetwork {
   /// gate pins at kPackedRowBytes for spill-free workloads.
   std::uint64_t staged_rows() const;
   std::uint64_t staged_bytes() const;
-
-  /// Telemetry of the S >= EngineConfig::merge_runs_min_shards merge pass.
-  /// Each fold turns one source shard's (segments × S) small staged runs
-  /// into S per-destination runs; merged_runs() accumulates the eliminated
-  /// (segments − 1) × S run boundaries, offset_matrix_bytes() the shared
-  /// (S + 1)-entry offset row rebuilt per fold — the matrix a rank
-  /// alltoallv ships alongside the merged buffer. Folds run at eager-seal
-  /// time (hidden behind compute), so both stay 0 while merging never
-  /// fires: S below the threshold, or rounds that never fill a segment.
-  std::uint64_t merged_runs() const;
-  std::uint64_t offset_matrix_bytes() const;
 
   /// Sent rows that stayed on their own shard and bypassed the staging hop
   /// (0 when S = 1, where every row is trivially local and uncounted).
@@ -267,8 +205,8 @@ class ShardedNetwork {
                                               ///< [g*S + d, g*S + d + 1);
                                               ///< segments*S + 1 slots
     std::vector<std::vector<ExtWords>> spill_by_dst;  ///< per-destination
-                                              ///< side buffers: every run
-                                              ///< ships self-contained
+                                              ///< side buffers the runs'
+                                              ///< ext indices point into
     std::vector<PackedRow> self_rows;         ///< same-shard bypass rows,
                                               ///< logical send order
     std::vector<ExtWords> self_spill;         ///< side buffer of self_rows
@@ -291,10 +229,6 @@ class ShardedNetwork {
     std::uint64_t staged_rows = 0;            ///< rows through the hop
     std::uint64_t staged_bytes = 0;           ///< bytes through the hop
     std::uint64_t local_rows = 0;             ///< rows that bypassed the hop
-    std::uint64_t merged_runs = 0;            ///< runs eliminated by merges
-    std::uint64_t offset_matrix_bytes = 0;    ///< merged offset rows rebuilt
-    std::vector<PackedRow> merge_rows;        ///< merge scratch buffer
-    std::vector<std::size_t> merge_offsets;   ///< merge scratch offsets
     double hidden_pack_seconds = 0;           ///< cumulative eager-seal pack
                                               ///< time (overlapped)
     double phase_pack_seconds = 0;            ///< this round's phase-1 pack
@@ -332,17 +266,6 @@ class ShardedNetwork {
   /// packed immediately, on the owning thread, overlapped with compute.
   void MaybeSealSegment(std::size_t s);
 
-  /// At S >= merge_runs_min_shards: coalesces shard `s`'s current
-  /// per-(segment, destination) runs into one single-segment all-to-all
-  /// buffer with an (S + 1)-entry offset row. Called from every *eager*
-  /// seal — the merged prefix is maintained incrementally in hidden time
-  /// (a merged prefix is just "segment 0" to the next fold), never on the
-  /// exchange critical path; the flush-time tail stays a separate trailing
-  /// segment. Repack only — walk order and spill buffers unchanged, and
-  /// the staged byte/row counters are deliberately NOT re-incremented (the
-  /// rows crossed the hop once; merging them again is not a second hop).
-  void MergeStagedRuns(std::size_t s);
-
   void FlushOutbox(std::size_t s);    ///< phase 1 body
   void DeliverInboxes(std::size_t s); ///< phase 2 body
 
@@ -351,13 +274,11 @@ class ShardedNetwork {
   std::size_t base_;  ///< nodes per shard; first `rem_` shards get one more
   std::size_t rem_;
   std::size_t segment_rows_;     ///< eager-seal threshold (config)
-  std::size_t merge_min_;        ///< merge_runs_min_shards (0 = never)
   std::uint64_t rounds_ = 0;
   double flush_seconds_ = 0;     ///< cumulative critical-path phase-1 pack
   double deliver_seconds_ = 0;   ///< cumulative critical-path phase-2 work
   double barrier_seconds_ = 0;   ///< cumulative EndRound residual
   double exchange_seconds_ = 0;  ///< cumulative EndRound wall time
-  std::chrono::steady_clock::time_point round_t0_;  ///< BeginExchange stamp
   ShardPool* pool_;  ///< never null; executes every parallel phase
   std::vector<Shard> shards_;
   std::vector<std::uint32_t> sent_this_round_;  ///< per node

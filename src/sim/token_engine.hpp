@@ -121,7 +121,7 @@ struct TokenWalkOptions {
   /// engine keeps one split RNG stream per shard, keyed by shard index, so
   /// a fixed (seed, num_shards) replays bit-identically regardless of
   /// scheduling.
-  ExecPolicy exec;
+  ExecPolicy exec{};
 };
 
 /// Runs `tokens_per_node` independent lazy random walks of `walk_length`

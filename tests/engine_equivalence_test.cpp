@@ -35,7 +35,6 @@
 #include "sim/async_network.hpp"
 #include "sim/inbox_checksum.hpp"
 #include "sim/network.hpp"
-#include "sim/rank_network.hpp"
 #include "sim/sharded_network.hpp"
 #include "sim/token_engine.hpp"
 
@@ -287,7 +286,9 @@ TEST(EngineEquivalence, DegenerateSizesKeepShardStreamsAligned) {
       ShardedNetwork net(cfg);
       EXPECT_EQ(net.num_shards(), std::min(shards, n));
       const std::uint64_t got = DriveRawWorkload(net, 8, 2, 17);
-      if (shards == 1) EXPECT_EQ(got, want) << "n " << n;
+      if (shards == 1) {
+        EXPECT_EQ(got, want) << "n " << n;
+      }
       EXPECT_EQ(net.stats(), sync.stats()) << "n " << n << " S " << shards;
       ShardedNetwork replay(cfg);
       EXPECT_EQ(DriveRawWorkload(replay, 8, 2, 17), got)
@@ -686,13 +687,13 @@ TEST(EngineEquivalence, ScenarioCatalogueShardCountInvariantAndEnginesAgree) {
   }
 }
 
-// ---- rank-backed exchange (alltoallv over PackedRow runs) ------------------
+// ---- protocol rows on multi-segment sharded rounds ------------------------
 
 /// Deterministic token-relay workload over the NetworkEngine API: `walkers`
 /// tokens hash-walk the id space, each forwarded as a one-word message from
 /// wherever it sits to its next hash destination. Drop-free (capacity must be
 /// >= walkers) and randomness-free, so every engine must produce
-/// bit-identical inboxes — the "token walks over RankNetwork" harness row.
+/// bit-identical inboxes — the token-walk harness row.
 template <typename Net>
 std::uint64_t DriveTokenRelay(Net& net, std::size_t rounds,
                               std::size_t walkers, std::uint64_t salt) {
@@ -729,61 +730,12 @@ std::uint64_t DriveTokenRelay(Net& net, std::size_t rounds,
   return h;
 }
 
-TEST(EngineEquivalence, RankBackedExchangeMatchesShardedBitForBit) {
-  // The tentpole acceptance gate: RankNetwork over LoopbackTransport at
-  // every (R, S) grid point must reproduce ShardedNetwork at S_total = R*S
-  // bit for bit (same inbox checksums, same drops), match SyncNetwork's
-  // stats, and replay itself on a fixed seed — with the wire actually
-  // carrying traffic (frames > 0 whenever R > 1).
-  const std::size_t n = 48;
-  const std::size_t cap = 3;
-  for (const std::uint64_t seed : {11ull, 907ull}) {
-    SyncNetwork sync({.num_nodes = n, .capacity = cap, .seed = seed});
-    const std::uint64_t sync_sum = DriveRawWorkload(sync, 12, cap, seed);
-    for (const std::size_t ranks : {1, 2, 4}) {
-      for (const std::size_t shards : {1, 2}) {
-        const EngineConfig cfg{.num_nodes = n, .capacity = cap, .seed = seed,
-                               .exec = {.num_shards = shards},
-                               .num_ranks = ranks};
-        ShardedNetwork sharded({.num_nodes = n, .capacity = cap, .seed = seed,
-                                .exec = {.num_shards = ranks * shards}});
-        const std::uint64_t want = DriveRawWorkload(sharded, 12, cap, seed);
-        RankNetwork net(cfg);
-        EXPECT_EQ(net.num_ranks(), ranks);
-        EXPECT_EQ(net.num_shards(), ranks * shards);
-        const std::uint64_t got = DriveRawWorkload(net, 12, cap, seed);
-        EXPECT_EQ(got, want) << "seed " << seed << " R " << ranks << " S "
-                             << shards << " diverged from ShardedNetwork";
-        if (ranks * shards == 1) {
-          EXPECT_EQ(got, sync_sum) << "R=S=1 must replay SyncNetwork";
-        }
-        EXPECT_EQ(net.stats(), sync.stats())
-            << "seed " << seed << " R " << ranks << " S " << shards;
-        EXPECT_EQ(net.MaxTotalSentPerNode(), sync.MaxTotalSentPerNode());
-        if (ranks > 1) {
-          EXPECT_GT(net.frames_sent(), 0u) << "wire must carry traffic";
-          EXPECT_GT(net.wire_rows_sent(), 0u);
-          EXPECT_GE(net.frame_bytes_sent(),
-                    net.frames_sent() * kFrameHeaderBytes +
-                        net.wire_rows_sent() * kPackedRowBytes);
-          EXPECT_EQ(net.transport().bytes_shipped(), net.frame_bytes_sent());
-        } else {
-          EXPECT_EQ(net.frames_sent(), 0u) << "one rank: nothing ships";
-        }
-        RankNetwork replay(cfg);
-        EXPECT_EQ(DriveRawWorkload(replay, 12, cap, seed), got)
-            << "seed " << seed << " R " << ranks << " S " << shards
-            << " not deterministic";
-      }
-    }
-  }
-}
-
-TEST(EngineEquivalence, RankBackedBfsChurnAndTokenWalksRows) {
-  // Protocol rows over the rank engine at R ∈ {2, 4}: the BFS flood, the
-  // token-relay walk, and the adversarial churn scenario are drop-free or
-  // engine-randomness-free workloads, so the rank-backed runs must be
-  // bit-identical to SyncNetwork — not merely stats-equal.
+TEST(EngineEquivalence, ShardedBfsChurnAndTokenWalksRows) {
+  // Protocol rows on the sharded engine at S ∈ {2, 4, 8} with small outbox
+  // segments, so every round seals several segments per shard: the BFS
+  // flood, the spill-carrying token relay, and the adversarial churn
+  // scenario are drop-free or engine-randomness-free workloads, so each
+  // must be bit-identical to SyncNetwork — not merely stats-equal.
   const std::uint64_t seed = 57;
   const Graph g = gen::ConnectedGnp(120, 0.06, seed);
   const BfsTreeResult want_tree =
@@ -803,81 +755,57 @@ TEST(EngineEquivalence, RankBackedBfsChurnAndTokenWalksRows) {
   const ScenarioResult want_scenario = RunAdversaryScenario(g, sc);
   ASSERT_FALSE(want_scenario.collapsed);
 
-  for (const std::size_t ranks : {2, 4}) {
-    for (const std::size_t shards : {1, 2}) {
-      EngineConfig cfg{.seed = seed, .exec = {.num_shards = shards},
-                       .num_ranks = ranks};
-      cfg.outbox_segment_rows = 64;  // multi-segment runs through the wire
-      const BfsTreeResult got_tree = BuildBfsTree<RankNetwork>(g, cfg);
-      EXPECT_EQ(ChecksumBfs(got_tree), ChecksumBfs(want_tree))
-          << "R " << ranks << " S " << shards;
-      EXPECT_EQ(got_tree.stats, want_tree.stats)
-          << "R " << ranks << " S " << shards;
+  for (const std::size_t shards : {2, 4, 8}) {
+    EngineConfig cfg{.seed = seed, .exec = {.num_shards = shards}};
+    cfg.outbox_segment_rows = 64;  // multi-segment rounds
+    const BfsTreeResult got_tree = BuildBfsTree<ShardedNetwork>(g, cfg);
+    EXPECT_EQ(ChecksumBfs(got_tree), ChecksumBfs(want_tree)) << "S " << shards;
+    EXPECT_EQ(got_tree.stats, want_tree.stats) << "S " << shards;
 
-      EngineConfig relay_cfg{.num_nodes = 120, .capacity = 16, .seed = seed,
-                             .exec = {.num_shards = shards},
-                             .num_ranks = ranks};
-      RankNetwork relay(relay_cfg);
-      EXPECT_EQ(DriveTokenRelay(relay, 10, 16, seed), want_relay)
-          << "R " << ranks << " S " << shards;
-      EXPECT_EQ(relay.stats(), sync.stats())
-          << "R " << ranks << " S " << shards;
+    EngineConfig relay_cfg{.num_nodes = 120, .capacity = 16, .seed = seed,
+                           .exec = {.num_shards = shards}};
+    relay_cfg.outbox_segment_rows = 2;
+    ShardedNetwork relay(relay_cfg);
+    EXPECT_EQ(DriveTokenRelay(relay, 10, 16, seed), want_relay)
+        << "S " << shards;
+    EXPECT_EQ(relay.stats(), sync.stats()) << "S " << shards;
 
-      sc.engine = EngineKind::kRank;
-      sc.num_ranks = ranks;
-      sc.strike_opts.exec.num_shards = shards;
-      const ScenarioResult got_scenario = RunAdversaryScenario(g, sc);
-      EXPECT_EQ(ChecksumScenario(got_scenario), ChecksumScenario(want_scenario))
-          << "churn over RankNetwork diverged, R " << ranks << " S " << shards;
-    }
+    sc.engine = EngineKind::kSharded;
+    sc.strike_opts.exec.num_shards = shards;
+    const ScenarioResult got_scenario = RunAdversaryScenario(g, sc);
+    EXPECT_EQ(ChecksumScenario(got_scenario), ChecksumScenario(want_scenario))
+        << "churn over ShardedNetwork diverged, S " << shards;
   }
 }
 
-// ---- merged all-to-all runs (S >= merge_runs_min_shards) -------------------
-
-TEST(EngineEquivalence, MergedRunsChecksumIdenticalToUnmergedAtS32) {
-  // ROADMAP item (b)'s gate: at S = 32 with multi-segment rounds, the
-  // merged single-buffer all-to-all (one run per destination + shared
-  // offset matrix) must be checksum- and stats-identical to the unmerged
-  // per-(segment, destination) path — it is a repack, not a semantic
-  // change — and the staged byte accounting must not double-count.
+TEST(EngineEquivalence, MultiSegmentRawWorkloadAtS32) {
+  // S = 32 with 8-row outbox segments: every shard seals several segments
+  // per round. The drop path's stats must equal SyncNetwork's, a
+  // fixed-seed run must replay, and the segment cut points must change
+  // neither delivery nor the staged-row accounting (the single-segment
+  // run at the same S is the reference).
   const std::size_t n = 256;
   const std::size_t cap = 3;
   for (const std::uint64_t seed : {19ull, 404ull}) {
-    EngineConfig merged_cfg{.num_nodes = n, .capacity = cap, .seed = seed,
-                            .exec = {.num_shards = 32}};
-    merged_cfg.outbox_segment_rows = 8;  // force several segments per round
-    merged_cfg.merge_runs_min_shards = 32;
-    EngineConfig plain_cfg = merged_cfg;
-    plain_cfg.merge_runs_min_shards = 0;  // merging disabled
+    SyncNetwork sync({.num_nodes = n, .capacity = cap, .seed = seed});
+    DriveRawWorkload(sync, 10, cap, seed);
+    const EngineConfig whole_cfg{.num_nodes = n, .capacity = cap,
+                                 .seed = seed, .exec = {.num_shards = 32}};
+    EngineConfig seg_cfg = whole_cfg;
+    seg_cfg.outbox_segment_rows = 8;  // 24 rows per shard per round
 
-    ShardedNetwork merged(merged_cfg);
-    ShardedNetwork plain(plain_cfg);
-    const std::uint64_t got = DriveRawWorkload(merged, 10, cap, seed);
-    const std::uint64_t want = DriveRawWorkload(plain, 10, cap, seed);
-    EXPECT_EQ(got, want) << "seed " << seed << ": merge changed delivery";
-    EXPECT_EQ(merged.stats(), plain.stats()) << "seed " << seed;
-    EXPECT_GT(merged.merged_runs(), 0u) << "merge pass never fired";
-    EXPECT_GT(merged.offset_matrix_bytes(), 0u);
-    EXPECT_EQ(plain.merged_runs(), 0u);
-    // The double-count regression: merging repacks rows already counted at
-    // their single staging hop, so both modes account identical bytes.
-    EXPECT_EQ(merged.staged_rows(), plain.staged_rows());
-    EXPECT_EQ(merged.staged_bytes(), plain.staged_bytes());
+    ShardedNetwork whole(whole_cfg);
+    ShardedNetwork segmented(seg_cfg);
+    const std::uint64_t want = DriveRawWorkload(whole, 10, cap, seed);
+    const std::uint64_t got = DriveRawWorkload(segmented, 10, cap, seed);
+    EXPECT_EQ(got, want) << "seed " << seed << ": segments changed delivery";
+    EXPECT_EQ(segmented.stats(), sync.stats()) << "seed " << seed;
+    EXPECT_EQ(segmented.staged_rows(), whole.staged_rows());
+    EXPECT_EQ(segmented.staged_bytes(), whole.staged_bytes());
 
-    // The rank engine shares the same packing path: merged and unmerged
-    // rank-backed runs agree with each other and with the sharded engine.
-    EngineConfig rank_cfg = merged_cfg;
-    rank_cfg.exec.num_shards = 8;
-    rank_cfg.num_ranks = 4;  // 4 × 8 = 32 total shards, merge threshold hit
-    RankNetwork rank_merged(rank_cfg);
-    EXPECT_EQ(DriveRawWorkload(rank_merged, 10, cap, seed), want)
-        << "seed " << seed << ": merged rank run diverged";
-    EXPECT_GT(rank_merged.merged_runs(), 0u);
-    rank_cfg.merge_runs_min_shards = 0;
-    RankNetwork rank_plain(rank_cfg);
-    EXPECT_EQ(DriveRawWorkload(rank_plain, 10, cap, seed), want)
-        << "seed " << seed << ": unmerged rank run diverged";
+    ShardedNetwork replay(seg_cfg);
+    EXPECT_EQ(DriveRawWorkload(replay, 10, cap, seed), got)
+        << "seed " << seed << " not deterministic";
   }
 }
 

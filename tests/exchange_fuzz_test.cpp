@@ -1,13 +1,13 @@
-// Seeded fuzz layer for the rank-partitioned exchange (CTest label `fuzz`).
+// Seeded fuzz layer for the sharded exchange (CTest label `fuzz`).
 //
 // Random topology × random workload (raw hash-driven traffic with drops, the
-// BFS flood, or an adversarial churn scenario) × R ∈ {1, 2, 4} ranks × S ∈
-// {1, 2} shards per rank: every rank-backed run must be bit-identical to the
-// sharded engine at S_total = R × S (same inbox checksums, same drops),
+// BFS flood, or an adversarial churn scenario) × S ∈ {1, 2, 4, 8} shards ×
+// a random outbox segment size: every sharded run must be bit-identical to
+// the single-segment run at the same S (same inbox checksums, same drops),
 // stats-identical to SyncNetwork, checksum-identical to SyncNetwork whenever
-// the workload is drop-free or S_total = 1, and must replay itself on a
-// fixed seed. Every assertion carries the iteration's reproducing seed;
-// replay one case with OVERLAY_FUZZ_SEED=<seed> (runs only that seed).
+// the workload is drop-free or S = 1, and must replay itself on a fixed
+// seed. Every assertion carries the iteration's reproducing seed; replay
+// one case with OVERLAY_FUZZ_SEED=<seed> (runs only that seed).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -20,7 +20,6 @@
 #include "overlay/bfs_tree.hpp"
 #include "sim/inbox_checksum.hpp"
 #include "sim/network.hpp"
-#include "sim/rank_network.hpp"
 #include "sim/sharded_network.hpp"
 
 namespace overlay {
@@ -57,7 +56,7 @@ std::uint64_t DriveRaw(Net& net, std::size_t rounds, std::size_t sends,
         Message m;
         m.kind = static_cast<std::uint32_t>(x % 4);
         m.words[0] = x;
-        if (x % 5 == 0) m.words[1] = ~x;  // spill rides the wire too
+        if (x % 5 == 0) m.words[1] = ~x;  // spill crosses shards too
         net.Send(v, static_cast<NodeId>(x % n), m);
       }
     }
@@ -95,18 +94,18 @@ void CheckScenariosMatch(const ScenarioResult& got, const ScenarioResult& ref,
   }
 }
 
-/// One fuzz case: random (R, S) grid point, random workload. The reference
-/// for bit-identity is ShardedNetwork at the combined shard count (drop
-/// choices consume per-shard RNG streams, so SyncNetwork is only
-/// checksum-equal when the workload is drop-free or S_total = 1); the
-/// reference for stats is always SyncNetwork.
+constexpr std::size_t kShardSweep[] = {1, 2, 4, 8};
+
+/// One fuzz case: random workload and segment size, run at every shard
+/// count. The reference for bit-identity is the single-segment
+/// ShardedNetwork run at the same S (drop choices consume per-shard RNG
+/// streams, so SyncNetwork is only checksum-equal when the workload is
+/// drop-free or S = 1); the reference for stats is always SyncNetwork.
 void RunCase(std::uint64_t seed) {
   SCOPED_TRACE("reproducing seed " + std::to_string(seed) +
                " (rerun with OVERLAY_FUZZ_SEED=" + std::to_string(seed) + ")");
   Rng r(seed);
-  constexpr std::size_t kRanks[] = {1, 2, 4};
-  const std::size_t ranks = kRanks[r.NextBelow(3)];
-  const std::size_t shards = 1 + r.NextBelow(2);
+  const std::size_t segment_rows = 1 + r.NextBelow(16);
 
   switch (r.NextBelow(3)) {
     case 0: {  // raw traffic with drops
@@ -116,28 +115,27 @@ void RunCase(std::uint64_t seed) {
       const std::uint64_t salt = r.Next();
       SyncNetwork sync({.num_nodes = n, .capacity = cap, .seed = seed});
       const std::uint64_t sync_sum = DriveRaw(sync, rounds, cap, salt);
-      ShardedNetwork sharded({.num_nodes = n, .capacity = cap, .seed = seed,
-                              .exec = {.num_shards = ranks * shards}});
-      const std::uint64_t want = DriveRaw(sharded, rounds, cap, salt);
-      RankNetwork net({.num_nodes = n, .capacity = cap, .seed = seed,
-                       .exec = {.num_shards = shards}, .num_ranks = ranks});
-      const std::uint64_t got = DriveRaw(net, rounds, cap, salt);
-      ASSERT_EQ(got, want) << "rank run diverged from ShardedNetwork, R "
-                           << ranks << " S " << shards;
-      if (ranks * shards == 1) {
-        ASSERT_EQ(got, sync_sum) << "R = S = 1 must replay SyncNetwork";
+      for (const std::size_t shards : kShardSweep) {
+        const EngineConfig whole_cfg{.num_nodes = n, .capacity = cap,
+                                     .seed = seed,
+                                     .exec = {.num_shards = shards}};
+        ShardedNetwork whole(whole_cfg);
+        const std::uint64_t want = DriveRaw(whole, rounds, cap, salt);
+        EngineConfig cfg = whole_cfg;
+        cfg.outbox_segment_rows = segment_rows;
+        ShardedNetwork net(cfg);
+        const std::uint64_t got = DriveRaw(net, rounds, cap, salt);
+        ASSERT_EQ(got, want) << "segmented run diverged, S " << shards
+                             << " segment rows " << segment_rows;
+        if (shards == 1) {
+          ASSERT_EQ(got, sync_sum) << "S = 1 must replay SyncNetwork";
+        }
+        ASSERT_EQ(net.stats(), sync.stats())
+            << "stats invariant broken, S " << shards;
+        ShardedNetwork replay(cfg);
+        ASSERT_EQ(DriveRaw(replay, rounds, cap, salt), got)
+            << "fixed-seed replay diverged, S " << shards;
       }
-      ASSERT_EQ(net.stats(), sync.stats())
-          << "stats invariant broken, R " << ranks << " S " << shards;
-      if (net.num_ranks() > 1) {
-        ASSERT_GT(net.frames_sent(), 0u) << "wire carried no traffic";
-        ASSERT_EQ(net.transport().bytes_shipped(), net.frame_bytes_sent());
-      }
-      RankNetwork replay({.num_nodes = n, .capacity = cap, .seed = seed,
-                          .exec = {.num_shards = shards},
-                          .num_ranks = ranks});
-      ASSERT_EQ(DriveRaw(replay, rounds, cap, salt), got)
-          << "fixed-seed replay diverged";
       break;
     }
     case 1: {  // BFS flood: drop-free, so bit-identical to SyncNetwork
@@ -145,18 +143,20 @@ void RunCase(std::uint64_t seed) {
       const BfsTreeResult want =
           BuildBfsTree<SyncNetwork>(g, EngineConfig{.seed = seed});
       ASSERT_TRUE(ValidateBfsTree(g, want));
-      const EngineConfig cfg{.seed = seed, .exec = {.num_shards = shards},
-                             .num_ranks = ranks};
-      const BfsTreeResult got = BuildBfsTree<RankNetwork>(g, cfg);
-      ASSERT_EQ(ChecksumTree(got), ChecksumTree(want))
-          << "rank-backed flood diverged, R " << ranks << " S " << shards;
-      ASSERT_EQ(got.stats, want.stats) << "R " << ranks << " S " << shards;
-      const BfsTreeResult replay = BuildBfsTree<RankNetwork>(g, cfg);
-      ASSERT_EQ(ChecksumTree(replay), ChecksumTree(got))
-          << "fixed-seed replay diverged";
+      for (const std::size_t shards : kShardSweep) {
+        EngineConfig cfg{.seed = seed, .exec = {.num_shards = shards}};
+        cfg.outbox_segment_rows = segment_rows;
+        const BfsTreeResult got = BuildBfsTree<ShardedNetwork>(g, cfg);
+        ASSERT_EQ(ChecksumTree(got), ChecksumTree(want))
+            << "sharded flood diverged, S " << shards;
+        ASSERT_EQ(got.stats, want.stats) << "S " << shards;
+        const BfsTreeResult replay = BuildBfsTree<ShardedNetwork>(g, cfg);
+        ASSERT_EQ(ChecksumTree(replay), ChecksumTree(got))
+            << "fixed-seed replay diverged, S " << shards;
+      }
       break;
     }
-    default: {  // adversarial churn: strikes + recovery over the rank engine
+    default: {  // adversarial churn: strikes + recovery over the sharded engine
       const Graph g = RandomTopology(r);
       ScenarioOptions opts;
       constexpr StrikeKind kKinds[] = {StrikeKind::kOblivious,
@@ -164,27 +164,31 @@ void RunCase(std::uint64_t seed) {
                                        StrikeKind::kDrip};
       opts.strike = kKinds[r.NextBelow(3)];
       opts.strike_opts.budget = r.NextBelow(g.num_nodes() / 3 + 1);
-      opts.strike_opts.exec.num_shards = shards;
       opts.epochs = 1 + r.NextBelow(2);
       opts.recovery =
           r.NextBool(0.5) ? RecoveryMode::kRepair : RecoveryMode::kRebuild;
       opts.seed = seed;
-      opts.engine = EngineKind::kSync;
-      const ScenarioResult ref = RunAdversaryScenario(g, opts);
-      opts.engine = EngineKind::kRank;
-      opts.num_ranks = ranks;
-      const ScenarioResult got = RunAdversaryScenario(g, opts);
-      // Strike victims are fixed by (seed, S); extraction, repair, and the
-      // rebuild flood are randomness-free — engine choice must not matter.
-      CheckScenariosMatch(got, ref, "rank vs sync scenario");
-      const ScenarioResult replay = RunAdversaryScenario(g, opts);
-      CheckScenariosMatch(replay, got, "fixed-seed scenario replay");
+      for (const std::size_t shards : kShardSweep) {
+        SCOPED_TRACE("S " + std::to_string(shards));
+        // Strike victims are fixed by (seed, S); extraction, repair, and
+        // the rebuild flood are randomness-free — engine choice must not
+        // matter.
+        opts.strike_opts.exec.num_shards = shards;
+        opts.engine = EngineKind::kSync;
+        const ScenarioResult ref = RunAdversaryScenario(g, opts);
+        opts.engine = EngineKind::kSharded;
+        const ScenarioResult got = RunAdversaryScenario(g, opts);
+        CheckScenariosMatch(got, ref, "sharded vs sync scenario");
+        const ScenarioResult replay = RunAdversaryScenario(g, opts);
+        CheckScenariosMatch(replay, got, "fixed-seed scenario replay");
+        if (::testing::Test::HasFatalFailure()) return;
+      }
       break;
     }
   }
 }
 
-TEST(TransportFuzz, RandomTopologyTimesWorkloadTimesRankGrid) {
+TEST(ExchangeFuzz, RandomTopologyTimesWorkloadTimesShardCount) {
   if (const char* env = std::getenv("OVERLAY_FUZZ_SEED")) {
     RunCase(std::strtoull(env, nullptr, 10));
     return;

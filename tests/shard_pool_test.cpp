@@ -318,17 +318,22 @@ TEST(ShardPool, RunDynamicBlocksCoverTheRangeInChunkOrder) {
   ShardPool pool;
   // workers == 1 keeps the claim order deterministic, so the block layout
   // itself can be asserted: contiguous, ascending, covering [0, n).
-  std::vector<std::pair<std::size_t, std::size_t>> blocks;
-  RunDynamicBlocks(pool, 103, 1, 8,
-                   [&](std::size_t c, std::size_t lo, std::size_t hi) {
-                     EXPECT_EQ(c, blocks.size());
-                     blocks.emplace_back(lo, hi);
-                   });
-  ASSERT_EQ(blocks.size(), 8u);
-  EXPECT_EQ(blocks.front().first, 0u);
-  EXPECT_EQ(blocks.back().second, 103u);
-  for (std::size_t i = 1; i < blocks.size(); ++i) {
-    EXPECT_EQ(blocks[i].first, blocks[i - 1].second);
+  // n = 9 over 8 chunks has 2-node blocks, so chunks 5–7 start at or past
+  // n and must come out empty (lo == hi == n), never with lo > hi.
+  for (const std::size_t n : {103u, 9u}) {
+    std::vector<std::pair<std::size_t, std::size_t>> blocks;
+    RunDynamicBlocks(pool, n, 1, 8,
+                     [&](std::size_t c, std::size_t lo, std::size_t hi) {
+                       EXPECT_EQ(c, blocks.size());
+                       EXPECT_LE(lo, hi) << "n " << n << " chunk " << c;
+                       blocks.emplace_back(lo, hi);
+                     });
+    ASSERT_EQ(blocks.size(), 8u);
+    EXPECT_EQ(blocks.front().first, 0u);
+    EXPECT_EQ(blocks.back().second, n);
+    for (std::size_t i = 1; i < blocks.size(); ++i) {
+      EXPECT_EQ(blocks[i].first, blocks[i - 1].second) << "n " << n;
+    }
   }
   // Chunk count is clamped to the range; a tiny range degenerates inline.
   std::size_t calls = 0;
@@ -339,6 +344,25 @@ TEST(ShardPool, RunDynamicBlocksCoverTheRangeInChunkOrder) {
     ++calls;
   });
   EXPECT_EQ(calls, 1u);
+}
+
+TEST(ShardPool, RunShardedBlocksCoverTheRangeWithEmptyTail) {
+  ShardPool pool;
+  // Same layout as RunDynamicBlocks: ceil(n / shards)-node blocks, so at
+  // n = 9 over 8 shards blocks 5–7 are empty rather than inverted.
+  std::vector<std::pair<std::size_t, std::size_t>> blocks(8);
+  RunShardedBlocks(pool, 9, 8,
+                   [&](std::size_t s, std::size_t lo, std::size_t hi) {
+                     blocks[s] = {lo, hi};
+                   });
+  EXPECT_EQ(blocks.front().first, 0u);
+  EXPECT_EQ(blocks.back().second, 9u);
+  for (std::size_t s = 0; s < blocks.size(); ++s) {
+    EXPECT_LE(blocks[s].first, blocks[s].second) << "shard " << s;
+    if (s > 0) {
+      EXPECT_EQ(blocks[s].first, blocks[s - 1].second) << "shard " << s;
+    }
+  }
 }
 
 TEST(ShardPool, DefaultPoolIsASingleton) {
