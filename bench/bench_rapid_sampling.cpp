@@ -17,11 +17,9 @@ using namespace overlay;
 namespace {
 
 Multigraph LazyCycle(std::size_t n, std::size_t delta) {
-  Multigraph m(n);
+  Multigraph m(n, delta);
   for (NodeId v = 0; v < n; ++v) m.AddEdge(v, (v + 1) % n);
-  for (NodeId v = 0; v < n; ++v) {
-    while (m.Degree(v) < delta) m.AddSelfLoop(v);
-  }
+  m.PadWithSelfLoops();
   return m;
 }
 

@@ -1,40 +1,53 @@
 // E4 (Lemma 3.2): no node holds >= 3Δ/8 walk tokens in any round, w.h.p. —
-// plus the walker-bucketed token-engine throughput table.
+// plus the flat walk kernel's throughput table.
 //
 // Shapes to verify:
 //   * max per-round token load stays strictly below the 3Δ/8 acceptance
 //     bound across all evolutions and sizes, so no token is ever discarded
 //     and every walk creates an edge;
-//   * the walker-bucketed engine holds parity with the token-major
-//     reference at S=1 (same serial stream, so >= 1.0x modulo timer noise)
-//     and its walks/sec scale with the shard count.
+//   * the kernel's walks/sec at S ∈ {1, 2, 4} on two graphs: the benign
+//     line CreateExpander starts from, and the same line after L/2
+//     evolutions, once conductance growth has spread every node's slots
+//     across the graph. The expander row is the one the construction spends
+//     most of its time on; the line row flatters the kernel with locality.
 //
-// Throughput knobs: --walkers (total tokens, default 65536), --steps (walk
-// length ℓ, default 16), --shards (bucketed shard count, default 4).
+// The throughput table runs on n = 2^14 nodes, each row timed as the median
+// of 21 runs after one warm-up. Each row walks the construction's own
+// workload: Δ/8 tokens per node for ℓ steps, Δ and ℓ from
+// ExpanderParams::ForSize(n).
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <utility>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "graph/generators.hpp"
 #include "overlay/benign.hpp"
 #include "overlay/create_expander.hpp"
+#include "overlay/evolution.hpp"
 #include "sim/token_engine.hpp"
 
 using namespace overlay;
 
 namespace {
 
-/// Best-of-`reps` wall time of one full walk run, in seconds.
+constexpr std::size_t kThroughputNodes = 16384;
+constexpr std::size_t kReps = 21;
+
+/// Median wall time of `reps` runs of fn, after one untimed warm-up run.
 template <typename Fn>
-double BestSeconds(std::size_t reps, Fn&& fn) {
-  double best = 1e300;
+double MedianSeconds(std::size_t reps, Fn&& fn) {
+  fn();
+  std::vector<double> secs;
   for (std::size_t r = 0; r < reps; ++r) {
     const auto t0 = std::chrono::steady_clock::now();
     fn();
     const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
+    secs.push_back(std::chrono::duration<double>(t1 - t0).count());
   }
-  return best;
+  std::sort(secs.begin(), secs.end());
+  return secs[secs.size() / 2];
 }
 
 }  // namespace
@@ -67,46 +80,49 @@ int main(int argc, char** argv) {
   t.Print();
   json.Add("token_load", t);
 
-  // Walker-bucketed engine throughput vs. the token-major reference loop.
-  // One walk = one token's full ℓ-step trajectory; walks/sec = walkers /
-  // best wall time. S=1 dispatches to the serial stream by contract, so its
-  // row gates parity; higher S exercises the bucketed phase machinery.
-  const std::size_t kTokensPerNode = 8;
-  const std::size_t walkers = bench::SizeFlag(argc, argv, "--walkers", 65536);
-  const std::size_t steps = bench::SizeFlag(argc, argv, "--steps", 16);
-  const std::size_t shards = bench::SizeFlag(argc, argv, "--shards", 4);
-  const std::size_t n = std::max<std::size_t>(1, walkers / kTokensPerNode);
-  bench::Banner("walker-bucketed token engine throughput",
-                "claim: walks/sec parity with the token-major loop at S=1 "
-                "(identical stream), bucketed scaling beyond");
+  // Flat walk kernel throughput. One walk = one token's full ℓ-step
+  // trajectory; walks/sec = walkers / median wall time over kReps runs.
+  // token_steps is the kernel's own count; CI checks it equals
+  // walkers · ℓ exactly.
+  const std::size_t n = kThroughputNodes;
+  bench::Banner("flat walk kernel throughput",
+                "walks/sec at S = 1, 2, 4 on the benign line and on the line "
+                "after L/2 evolutions (the expander the construction walks)");
   const Graph line = gen::Line(n);
-  const Multigraph m =
-      MakeBenign(line, ExpanderParams::ForSize(n, line.MaxDegree(), 1));
-  const auto run_engine = [&](bool token_major, std::size_t s) {
-    TokenWalkOptions opts;
-    opts.tokens_per_node = kTokensPerNode;
-    opts.walk_length = steps;
-    opts.exec.num_shards = s;
-    return BestSeconds(3, [&] {
-      Rng rng(1);
-      const auto r = token_major ? RunTokenWalksTokenMajor(m, opts, rng)
-                                 : RunTokenWalks(m, opts, rng);
-      if (r.token_steps != n * kTokensPerNode * steps) std::abort();
-    });
-  };
+  const auto params = ExpanderParams::ForSize(n, line.MaxDegree(), 1);
+  const Multigraph benign = MakeBenign(line, params);
+  Multigraph expander = benign;
+  {
+    Rng rng(params.seed);
+    for (std::size_t i = 0; i < params.num_evolutions / 2; ++i) {
+      expander = RunEvolution(expander, params, rng).next;
+    }
+  }
+  std::printf("n=%zu Δ=%zu tokens/node=%zu ℓ=%zu L/2=%zu\n\n", n,
+              params.delta, params.TokensPerNode(), params.walk_length,
+              params.num_evolutions / 2);
 
-  bench::Table tp({"engine", "shards", "walkers", "steps", "time_ms",
-                   "walks_per_sec", "speedup_vs_token_major"});
-  const double ref_s = run_engine(/*token_major=*/true, 1);
-  const double ref_wps = static_cast<double>(n * kTokensPerNode) / ref_s;
-  tp.Row("token-major", 1, n * kTokensPerNode, steps, ref_s * 1e3, ref_wps,
-         1.0);
-  for (const std::size_t s : {std::size_t{1}, shards}) {
-    const double secs = run_engine(/*token_major=*/false, s);
-    const double wps = static_cast<double>(n * kTokensPerNode) / secs;
-    tp.Row("walker-bucketed", s, n * kTokensPerNode, steps, secs * 1e3, wps,
-           wps / ref_wps);
-    if (s == shards && shards == 1) break;  // avoid a duplicate S=1 row
+  bench::Table tp({"graph", "shards", "walkers", "steps", "time_ms",
+                   "walks_per_sec", "steps_per_sec", "token_steps"});
+  for (const auto& [name, g] :
+       {std::pair<const char*, const Multigraph*>{"benign_line", &benign},
+        {"expander_L/2", &expander}}) {
+    for (const std::size_t s : {1u, 2u, 4u}) {
+      TokenWalkOptions opts;
+      opts.tokens_per_node = params.TokensPerNode();
+      opts.walk_length = params.walk_length;
+      opts.exec.num_shards = s;
+      std::uint64_t token_steps = 0;
+      const double secs = MedianSeconds(kReps, [&] {
+        Rng rng(1);
+        token_steps = RunTokenWalks(*g, opts, rng).token_steps;
+      });
+      const std::size_t walkers = n * params.TokensPerNode();
+      tp.Row(name, s, walkers, params.walk_length, secs * 1e3,
+             static_cast<double>(walkers) / secs,
+             static_cast<double>(walkers * params.walk_length) / secs,
+             token_steps);
+    }
   }
   tp.Print();
   json.Add("throughput", tp);

@@ -14,11 +14,30 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 namespace overlay::bench {
+
+/// Appends `s` to `out` as a JSON string literal.
+inline void AppendJsonString(std::string* out, const std::string& s) {
+  *out += '"';
+  for (const char ch : s) {
+    if (ch == '"' || ch == '\\') {
+      *out += '\\';
+      *out += ch;
+    } else if (static_cast<unsigned char>(ch) < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
+      *out += buf;
+    } else {
+      *out += ch;
+    }
+  }
+  *out += '"';
+}
 
 /// Markdown-ish fixed-width table writer that remembers cell types so the
 /// same rows can be re-emitted as JSON.
@@ -114,23 +133,6 @@ class Table {
     }
   }
 
-  static void AppendJsonString(std::string* out, const std::string& s) {
-    *out += '"';
-    for (const char ch : s) {
-      if (ch == '"' || ch == '\\') {
-        *out += '\\';
-        *out += ch;
-      } else if (static_cast<unsigned char>(ch) < 0x20) {
-        char buf[8];
-        std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-        *out += buf;
-      } else {
-        *out += ch;
-      }
-    }
-    *out += '"';
-  }
-
   void PrintHeaderRow(const std::vector<std::size_t>& width) const {
     std::string line = "|";
     for (std::size_t c = 0; c < width.size(); ++c) {
@@ -201,8 +203,20 @@ inline std::size_t SizeFlag(int argc, char** argv, const char* flag,
   return parsed;
 }
 
+/// The compiler that built the bench, for the JSON header.
+inline std::string CompilerName() {
+#if defined(__clang__)
+  return std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+  return std::string("gcc ") + __VERSION__;
+#else
+  return "unknown";
+#endif
+}
+
 /// Collects named tables and writes them as one JSON document when the bench
-/// was invoked with --json. Usage:
+/// was invoked with --json. The header records hw_threads and the compiler,
+/// so a recorded baseline names the machine shape that produced it. Usage:
 ///
 ///   bench::JsonReport json(argc, argv, "bench_message_load");
 ///   ...
@@ -234,7 +248,11 @@ class JsonReport {
     }
     if (path_ == nullptr) return 0;
     std::string doc = "{\n  \"bench\": \"" + bench_name_ +
-                      "\",\n  \"tables\": {";
+                      "\",\n  \"hw_threads\": " +
+                      std::to_string(std::thread::hardware_concurrency()) +
+                      ",\n  \"compiler\": ";
+    AppendJsonString(&doc, CompilerName());
+    doc += ",\n  \"tables\": {";
     for (std::size_t i = 0; i < tables_.size(); ++i) {
       doc += i == 0 ? "\n" : ",\n";
       doc += "    \"" + tables_[i].first + "\": ";

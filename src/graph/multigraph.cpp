@@ -7,43 +7,51 @@
 
 namespace overlay {
 
-std::size_t Multigraph::Degree(NodeId v) const {
-  OVERLAY_CHECK(v < num_nodes(), "node out of range");
-  return slots_[v].size();
-}
-
-std::span<const NodeId> Multigraph::Slots(NodeId v) const {
-  OVERLAY_CHECK(v < num_nodes(), "node out of range");
-  return slots_[v];
+Multigraph::Multigraph(std::size_t num_nodes, std::size_t max_degree)
+    : cap_(max_degree), fill_(num_nodes, 0) {
+  OVERLAY_CHECK(max_degree <= UINT32_MAX, "row capacity exceeds 32 bits");
+  slots_.resize(num_nodes * max_degree);
 }
 
 std::size_t Multigraph::SelfLoopCount(NodeId v) const {
-  OVERLAY_CHECK(v < num_nodes(), "node out of range");
-  return static_cast<std::size_t>(
-      std::count(slots_[v].begin(), slots_[v].end(), v));
+  const auto slots = Slots(v);
+  return static_cast<std::size_t>(std::count(slots.begin(), slots.end(), v));
 }
 
 void Multigraph::AddEdge(NodeId u, NodeId v) {
   OVERLAY_CHECK(u < num_nodes() && v < num_nodes(), "edge endpoint out of range");
   OVERLAY_CHECK(u != v, "use AddSelfLoop for self-loops");
-  slots_[u].push_back(v);
-  slots_[v].push_back(u);
+  OVERLAY_CHECK(fill_[u] < cap_ && fill_[v] < cap_,
+                "edge endpoint's slot row is full");
+  slots_[Row(u) + fill_[u]++] = v;
+  slots_[Row(v) + fill_[v]++] = u;
 }
 
 void Multigraph::AddSelfLoop(NodeId v) {
   OVERLAY_CHECK(v < num_nodes(), "node out of range");
-  slots_[v].push_back(v);
+  OVERLAY_CHECK(fill_[v] < cap_, "node's slot row is full");
+  slots_[Row(v) + fill_[v]++] = v;
+}
+
+void Multigraph::PadWithSelfLoops(std::size_t lo, std::size_t hi) {
+  OVERLAY_CHECK(lo <= hi && hi <= num_nodes(), "padding range out of bounds");
+  for (std::size_t i = lo; i < hi; ++i) {
+    const NodeId v = static_cast<NodeId>(i);
+    std::fill(slots_.begin() + Row(v) + fill_[v], slots_.begin() + Row(v) + cap_,
+              v);
+    fill_[v] = static_cast<std::uint32_t>(cap_);
+  }
 }
 
 NodeId Multigraph::RandomNeighbor(NodeId v, Rng& rng) const {
   OVERLAY_CHECK(v < num_nodes(), "node out of range");
-  OVERLAY_CHECK(!slots_[v].empty(), "random step from isolated node");
-  return slots_[v][rng.NextBelow(slots_[v].size())];
+  OVERLAY_CHECK(fill_[v] > 0, "random step from isolated node");
+  return slots_[Row(v) + rng.NextBelow(fill_[v])];
 }
 
 bool Multigraph::IsRegular(std::size_t delta) const {
-  return std::all_of(slots_.begin(), slots_.end(),
-                     [delta](const auto& s) { return s.size() == delta; });
+  return std::all_of(fill_.begin(), fill_.end(),
+                     [delta](std::uint32_t d) { return d == delta; });
 }
 
 bool Multigraph::IsLazy(std::size_t min_loops) const {
@@ -58,7 +66,7 @@ std::size_t Multigraph::CutWeight(const std::vector<char>& in_set) const {
   std::size_t crossing = 0;
   for (NodeId v = 0; v < num_nodes(); ++v) {
     if (!in_set[v]) continue;
-    for (NodeId w : slots_[v]) {
+    for (NodeId w : Slots(v)) {
       if (w != v && !in_set[w]) ++crossing;
     }
   }
@@ -79,7 +87,7 @@ double Multigraph::ConductanceOf(const std::vector<char>& in_set,
 Graph Multigraph::ToSimpleGraph() const {
   GraphBuilder builder(num_nodes());
   for (NodeId v = 0; v < num_nodes(); ++v) {
-    for (NodeId w : slots_[v]) {
+    for (NodeId w : Slots(v)) {
       if (v < w) builder.AddEdge(v, w);
     }
   }
@@ -90,7 +98,7 @@ std::map<std::pair<NodeId, NodeId>, std::uint64_t> Multigraph::WeightedEdges()
     const {
   std::map<std::pair<NodeId, NodeId>, std::uint64_t> weights;
   for (NodeId v = 0; v < num_nodes(); ++v) {
-    for (NodeId w : slots_[v]) {
+    for (NodeId w : Slots(v)) {
       if (v < w) ++weights[{v, w}];
     }
   }
@@ -100,7 +108,7 @@ std::map<std::pair<NodeId, NodeId>, std::uint64_t> Multigraph::WeightedEdges()
 std::uint64_t Multigraph::TotalEdgeMultiplicity() const {
   std::uint64_t total = 0;
   for (NodeId v = 0; v < num_nodes(); ++v) {
-    for (NodeId w : slots_[v]) {
+    for (NodeId w : Slots(v)) {
       if (w != v) ++total;
     }
   }

@@ -21,15 +21,11 @@ namespace {
 /// duplication) and preserves every asymptotic claim (see DESIGN.md §4).
 Multigraph PrepareBenign(const Graph& h, std::size_t delta,
                          std::size_t lambda) {
-  Multigraph g(h.num_nodes());
+  Multigraph g(h.num_nodes(), delta);
   for (const auto& [u, v] : h.EdgeList()) {
     for (std::size_t c = 0; c < lambda; ++c) g.AddEdge(u, v);
   }
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    OVERLAY_CHECK(g.Degree(v) <= delta,
-                  "hybrid expander requires Δ >= 2·deg(H)·Λ");
-    while (g.Degree(v) < delta) g.AddSelfLoop(v);
-  }
+  g.PadWithSelfLoops();
   return g;
 }
 
@@ -53,6 +49,9 @@ HybridExpanderRun RunHybridExpander(const Graph& h,
           ? opts.delta
           : std::max<std::size_t>(64, ((2 * d * lambda + 7) / 8) * 8);
   OVERLAY_CHECK(run.delta_used % 8 == 0, "Δ must be a multiple of 8");
+  // Benign means lazy: the d·Λ copied slots take at most half of each row.
+  OVERLAY_CHECK(run.delta_used >= 2 * d * lambda,
+                "HybridExpanderOptions::delta must be >= 2·deg(H)·Λ");
   const std::size_t delta = run.delta_used;
 
   std::size_t evolutions = opts.num_evolutions;
@@ -110,7 +109,9 @@ HybridExpanderRun RunHybridExpander(const Graph& h,
       }
     }
 
-    Multigraph next(n);
+    // Rows of Δ slots: AddEdge throws if the accept bound failed to cap a
+    // node's degree.
+    Multigraph next(n, delta);
     std::vector<EdgeProvenance> provenance;
     for (NodeId v = 0; v < n; ++v) {
       auto& offers = by_endpoint[v];
@@ -134,10 +135,7 @@ HybridExpanderRun RunHybridExpander(const Graph& h,
         }
       }
     }
-    for (NodeId v = 0; v < n; ++v) {
-      OVERLAY_CHECK(next.Degree(v) <= delta, "degree cap exceeded");
-      while (next.Degree(v) < delta) next.AddSelfLoop(v);
-    }
+    next.PadWithSelfLoops();
 
     run.cost.rounds += 2;  // return + pick/reply
     run.final_graph = std::move(next);

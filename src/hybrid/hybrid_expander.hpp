@@ -26,8 +26,8 @@
 namespace overlay {
 
 struct HybridExpanderOptions {
-  /// Target degree Δ (multiple of 8); 0 = auto (max(64, 2·d·Λ rounded up to
-  /// a multiple of 8) for input degree d).
+  /// Target degree Δ (multiple of 8, at least 2·d·Λ for input degree d);
+  /// 0 = auto (max(64, 2·d·Λ rounded up to a multiple of 8)).
   std::size_t delta = 0;
   /// Edge copies in the preparation step; 0 = auto (max(8, ⌈log₂ m⌉)).
   std::size_t lambda = 0;
@@ -47,7 +47,7 @@ struct HybridExpanderOptions {
 };
 
 struct HybridExpanderRun {
-  Multigraph final_graph{0};
+  Multigraph final_graph;
   /// provenance_stack[i]: edges of graph i+1 as walk paths in graph i
   /// (only with record_paths).
   std::vector<std::vector<EdgeProvenance>> provenance_stack;

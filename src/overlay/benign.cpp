@@ -13,8 +13,9 @@ Multigraph MakeBenign(const Graph& input, const ExpanderParams& params) {
   params.Validate(input.MaxDegree());
   OVERLAY_CHECK(input.num_nodes() >= 2, "need at least two nodes");
 
-  Multigraph g(input.num_nodes());
-  // Step 1: copy each edge Λ times (minimum cut becomes >= Λ).
+  Multigraph g(input.num_nodes(), params.delta);
+  // Step 1: copy each edge Λ times (minimum cut becomes >= Λ). A node denser
+  // than Δ overflows its slot row, which AddEdge rejects.
   for (const auto& [u, v] : input.EdgeList()) {
     for (std::size_t c = 0; c < params.lambda; ++c) {
       g.AddEdge(u, v);
@@ -22,13 +23,7 @@ Multigraph MakeBenign(const Graph& input, const ExpanderParams& params) {
   }
   // Step 2: pad with self-loops to exact degree Δ. Non-loop degree is at most
   // d·Λ <= Δ/2, so every node ends up with >= Δ/2 loops (laziness).
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    OVERLAY_CHECK(g.Degree(v) <= params.delta,
-                  "input too dense for Δ; MakeBenign precondition violated");
-    while (g.Degree(v) < params.delta) {
-      g.AddSelfLoop(v);
-    }
-  }
+  g.PadWithSelfLoops();
   return g;
 }
 

@@ -26,7 +26,7 @@ struct EvolutionTrace {
 };
 
 struct ExpanderRun {
-  Multigraph final_graph{0};
+  Multigraph final_graph;
   std::vector<EvolutionTrace> trace;
   /// Σ per-evolution rounds (the message-passing cost of the expander phase).
   std::uint64_t total_rounds = 0;

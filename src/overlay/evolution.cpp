@@ -23,7 +23,7 @@ EvolutionResult RunEvolution(const Multigraph& g, const ExpanderParams& params,
   walk_opts.exec = params.exec;
   TokenWalkResult walks = RunTokenWalks(g, walk_opts, rng);
 
-  EvolutionResult result{Multigraph(n), {}, {}};
+  EvolutionResult result{Multigraph(n, params.delta), {}, {}};
   result.telemetry.rounds = params.walk_length + 1;  // walks + id replies
   result.telemetry.token_steps = walks.token_steps;
   result.telemetry.max_token_load = walks.max_load;
@@ -36,10 +36,12 @@ EvolutionResult RunEvolution(const Multigraph& g, const ExpanderParams& params,
   // persistent pool, one split RNG stream per shard (same idiom as the
   // token engine: num_shards = 1 consumes the caller's RNG in the exact
   // historical order; any fixed (seed, num_shards) is deterministic
-  // regardless of scheduling).
+  // regardless of scheduling). `perm` is the calling shard's scratch.
   const std::size_t accept_bound = params.AcceptBound();
   std::vector<std::size_t> keep_count(n);
-  const auto select_for = [&](NodeId v, Rng& r) -> std::uint64_t {
+  const auto select_for = [&](NodeId v, Rng& r,
+                              std::vector<std::uint32_t>& perm)
+      -> std::uint64_t {
     const std::size_t arrived = walks.ArrivalCountAt(v);
     std::size_t keep = arrived;
     if (keep > accept_bound) {
@@ -47,7 +49,7 @@ EvolutionResult RunEvolution(const Multigraph& g, const ExpanderParams& params,
       // same swap sequence as permuting the bucket directly), then
       // PermuteArrivalBucket applies it to the origins and the token join
       // column in lockstep — the two can no longer be permuted apart.
-      std::vector<std::uint32_t> perm(arrived);
+      perm.resize(arrived);
       std::iota(perm.begin(), perm.end(), 0u);
       for (std::size_t i = 0; i < accept_bound; ++i) {
         const std::size_t j =
@@ -63,8 +65,9 @@ EvolutionResult RunEvolution(const Multigraph& g, const ExpanderParams& params,
 
   const std::size_t shards = params.exec.ShardsFor(n);
   if (shards <= 1) {
+    std::vector<std::uint32_t> perm;
     for (NodeId v = 0; v < n; ++v) {
-      result.telemetry.tokens_discarded += select_for(v, rng);
+      result.telemetry.tokens_discarded += select_for(v, rng, perm);
     }
   } else {
     std::vector<Rng> shard_rng;
@@ -73,9 +76,10 @@ EvolutionResult RunEvolution(const Multigraph& g, const ExpanderParams& params,
     std::vector<std::uint64_t> discarded(shards, 0);
     RunShardedBlocks(params.exec.Pool(), n, shards,
                      [&](std::size_t s, std::size_t lo, std::size_t hi) {
+                       std::vector<std::uint32_t> perm;
                        for (std::size_t v = lo; v < hi; ++v) {
-                         discarded[s] +=
-                             select_for(static_cast<NodeId>(v), shard_rng[s]);
+                         discarded[s] += select_for(static_cast<NodeId>(v),
+                                                    shard_rng[s], perm);
                        }
                      });
     for (const std::uint64_t d : discarded) {
@@ -84,7 +88,7 @@ EvolutionResult RunEvolution(const Multigraph& g, const ExpanderParams& params,
   }
 
   // Edge establishment from the selected tokens. AddEdge touches both
-  // endpoints' slot lists, so this pass stays serial; it is O(edges) against
+  // endpoints' slot rows, so this pass stays serial; it is O(edges) against
   // the walks' O(n·Δ·ℓ).
   for (NodeId v = 0; v < n; ++v) {
     const auto arrived = walks.ArrivalsAt(v);
@@ -114,23 +118,15 @@ EvolutionResult RunEvolution(const Multigraph& g, const ExpanderParams& params,
   }
 
   // Self-loop padding back to Δ-regularity. Degrees never exceed Δ/2 non-loop
-  // slots (Δ/8 own tokens + 3Δ/8 accepted), so laziness holds by construction.
-  // AddSelfLoop(v) touches only node v's slot list, so the padding shards
-  // over the same contiguous node blocks (no randomness — any shard count
-  // produces the identical graph). Degree-cap violations raise from the
-  // pool with the serial path's exception type.
-  RunShardedBlocks(
-      params.exec.Pool(), n, shards,
-      [&](std::size_t, std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-          const NodeId v = static_cast<NodeId>(i);
-          OVERLAY_CHECK(result.next.Degree(v) <= params.delta,
-                        "accept bound failed to cap the degree");
-          while (result.next.Degree(v) < params.delta) {
-            result.next.AddSelfLoop(v);
-          }
-        }
-      });
+  // slots (Δ/8 own tokens + 3Δ/8 accepted), so laziness holds by construction;
+  // were the accept bound to fail, AddEdge would have thrown on a full row.
+  // Padding touches only each node's own row, so it shards over the same
+  // contiguous node blocks (no randomness — any shard count produces the
+  // identical graph).
+  RunShardedBlocks(params.exec.Pool(), n, shards,
+                   [&](std::size_t, std::size_t lo, std::size_t hi) {
+                     result.next.PadWithSelfLoops(lo, hi);
+                   });
   return result;
 }
 

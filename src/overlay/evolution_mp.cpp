@@ -75,7 +75,7 @@ MessagePassingEvolutionResult RunEvolutionMessagePassing(
   }
   std::vector<SendScratch> scratch(drive_lanes);
 
-  MessagePassingEvolutionResult result{Multigraph(n), {}, 0, 0};
+  MessagePassingEvolutionResult result{Multigraph(n, params.delta), {}, 0, 0};
   const std::uint64_t tokens_launched = n * params.TokensPerNode();
 
   // Round 1: every node launches Δ/8 tokens (first walk step). Same payload
@@ -145,16 +145,10 @@ MessagePassingEvolutionResult RunEvolutionMessagePassing(
   }
   result.tokens_without_edge = tokens_launched - replies_received;
 
-  // Degree cap check + self-loop padding (as in the fast path). Note the
-  // degree bound holds for the same reason: <= Δ/8 replies + <= 3Δ/8
-  // acceptances per node.
-  for (NodeId v = 0; v < n; ++v) {
-    OVERLAY_CHECK(result.next.Degree(v) <= params.delta,
-                  "accept bound failed to cap the degree");
-    while (result.next.Degree(v) < params.delta) {
-      result.next.AddSelfLoop(v);
-    }
-  }
+  // Self-loop padding (as in the fast path). The rows hold Δ slots, so
+  // AddEdge above would have thrown had the degree cap failed; it holds for
+  // the same reason: <= Δ/8 replies + <= 3Δ/8 acceptances per node.
+  result.next.PadWithSelfLoops();
   result.stats = net.stats();
   return result;
 }

@@ -128,7 +128,7 @@ void ShardedNetwork::ResetStagingIfStale(Shard& shard) {
   for (auto& spill : shard.spill_by_dst) spill.clear();
   shard.self_rows.clear();
   shard.self_spill.clear();
-  shard.segment_ready.clear();
+  shard.segments = 0;
   shard.staging_stale = false;
 }
 
@@ -185,7 +185,7 @@ void ShardedNetwork::SealSegment(std::size_t s) {
   shard.staged_bytes += hop_bytes;
   shard.bytes_moved += hop_bytes;  // the staging hop is arena traffic too
   shard.local_rows += self_count;
-  shard.segment_ready.push_back(1);
+  ++shard.segments;
 }
 
 void ShardedNetwork::MaybeSealSegment(std::size_t s) {
@@ -252,8 +252,8 @@ void ShardedNetwork::DeliverInboxes(std::size_t d) {
 
   // Count per local node across every source's runs addressed to this shard
   // (reading only the packed `to` field), then prefix-sum into the per-node
-  // bucket offsets. The per-segment ready flags are consumed here, at the
-  // barrier: phase 1 may not hand over a segment that was never sealed.
+  // bucket offsets. Every segment counted in `segments` was sealed whole by
+  // SealSegment on its owning thread before the phase barrier.
   auto& counts = dst.cursor;  // hoisted scratch: counts, then write cursors
   std::fill_n(counts.begin(), local_n, std::size_t{0});
   std::size_t total = 0;
@@ -261,17 +261,13 @@ void ShardedNetwork::DeliverInboxes(std::size_t d) {
     const Shard& src = shards_[s];
     OVERLAY_CHECK(!src.staging_stale,
                   "phase 2 may only read staging sealed this round");
-    for (const std::uint8_t ready : src.segment_ready) {
-      OVERLAY_CHECK(ready, "unsealed segment reached the phase barrier");
-    }
     if (s == d) {
       // Shard-local bypass rows: never staged, delivered directly.
       for (const PackedRow& row : src.self_rows) ++counts[row.to - base];
       total += src.self_rows.size();
       continue;
     }
-    const std::size_t segments = src.segment_ready.size();
-    for (std::size_t g = 0; g < segments; ++g) {
+    for (std::size_t g = 0; g < src.segments; ++g) {
       const std::size_t run_begin = src.run_offsets[g * s_count + d];
       const std::size_t run_end = src.run_offsets[g * s_count + d + 1];
       for (std::size_t i = run_begin; i < run_end; ++i) {
@@ -310,8 +306,7 @@ void ShardedNetwork::DeliverInboxes(std::size_t d) {
       continue;
     }
     const std::span<const ExtWords> spill(src.spill_by_dst[d]);
-    const std::size_t segments = src.segment_ready.size();
-    for (std::size_t g = 0; g < segments; ++g) {
+    for (std::size_t g = 0; g < src.segments; ++g) {
       const std::size_t run_end = src.run_offsets[g * s_count + d + 1];
       for (std::size_t i = src.run_offsets[g * s_count + d]; i < run_end;
            ++i) {

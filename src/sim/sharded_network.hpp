@@ -210,9 +210,9 @@ class ShardedNetwork {
     std::vector<PackedRow> self_rows;         ///< same-shard bypass rows,
                                               ///< logical send order
     std::vector<ExtWords> self_spill;         ///< side buffer of self_rows
-    std::vector<std::uint8_t> segment_ready;  ///< per sealed segment, set at
-                                              ///< seal, consumed at the
-                                              ///< phase barrier
+    std::size_t segments = 0;                 ///< sealed segments this
+                                              ///< round (runs per dst in
+                                              ///< run_offsets)
     bool staging_stale = false;               ///< last round's staging still
                                               ///< in place; reset at next
                                               ///< seal

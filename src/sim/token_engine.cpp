@@ -1,7 +1,8 @@
 #include "sim/token_engine.hpp"
 
 #include <algorithm>
-#include <numeric>
+#include <type_traits>
+#include <utility>
 
 #include "common/check.hpp"
 #include "sim/shard_pool.hpp"
@@ -10,20 +11,18 @@ namespace overlay {
 
 namespace {
 
-/// Seeds result.token_origin / the walker start positions (v-major token
+/// Seeds result.token_origin / the token start positions (v-major token
 /// order: node v owns token indices [v·T, (v+1)·T)) and, when requested,
 /// the flat path matrix with column 0 = origin.
 void InitTokens(std::size_t n, const TokenWalkOptions& opts,
                 std::vector<NodeId>& position, TokenWalkResult& result) {
   const std::size_t num_tokens = n * opts.tokens_per_node;
-  result.token_origin.reserve(num_tokens);
-  position.reserve(num_tokens);
+  position.resize(num_tokens);
   for (NodeId v = 0; v < n; ++v) {
-    for (std::size_t t = 0; t < opts.tokens_per_node; ++t) {
-      position.push_back(v);
-      result.token_origin.push_back(v);
-    }
+    const auto row = position.begin() + v * opts.tokens_per_node;
+    std::fill(row, row + opts.tokens_per_node, v);
   }
+  result.token_origin = position;
   if (opts.record_paths) {
     // One flat matrix instead of num_tokens vectors: row i is token i's
     // sequence; column 0 is the origin.
@@ -38,9 +37,8 @@ void InitTokens(std::size_t n, const TokenWalkOptions& opts,
 
 /// Arrivals as a CSR in (node, token-index) order — a stable counting sort
 /// by final position, matching the per-node push_back order the per-node
-/// vectors used to accumulate. Token-index order is part of the output
-/// contract: the walker-bucketed engine's internal bucket order must never
-/// leak into the CSR, so both engines finalize through this one pass.
+/// vectors used to accumulate. CheckWalkOptions caps the token count at
+/// 2^32, so every token index fits the 32-bit join column.
 void FinalizeArrivals(std::size_t n, std::span<const NodeId> position,
                       bool record_paths, TokenWalkResult& result) {
   const std::size_t num_tokens = position.size();
@@ -60,236 +58,146 @@ void FinalizeArrivals(std::size_t n, std::span<const NodeId> position,
   }
 }
 
-/// The token-major serial loop: tokens in index order, caller's RNG
-/// consumed directly — the historical stream, bit for bit.
-void WalkTokenMajor(const Multigraph& g, const TokenWalkOptions& opts,
-                    Rng& rng, std::vector<NodeId>& position,
-                    TokenWalkResult& result) {
-  const std::size_t n = g.num_nodes();
-  const std::size_t num_tokens = position.size();
-  const std::size_t stride = opts.walk_length + 1;
-  std::vector<std::uint32_t> load(n, 0);
-  for (std::size_t step = 0; step < opts.walk_length; ++step) {
-    std::fill(load.begin(), load.end(), 0u);
-    for (std::size_t i = 0; i < num_tokens; ++i) {
-      const NodeId next = g.RandomNeighbor(position[i], rng);
-      position[i] = next;
-      ++load[next];
-      if (opts.record_paths) {
-        result.path_nodes[i * stride + step + 1] = next;
-      }
-    }
-    result.token_steps += num_tokens;
-    const auto step_max = *std::max_element(load.begin(), load.end());
-    result.max_load = std::max<std::uint64_t>(result.max_load, step_max);
+/// The walk kernel's view of a regular multigraph: the slot matrix, its row
+/// stride and the common degree Δ with NextBelow's rejection threshold for
+/// Δ hoisted out of the step loop. Validated once per call, so a step needs
+/// no range or emptiness check.
+struct WalkKernel {
+  const NodeId* slots;
+  std::size_t stride;
+  std::uint64_t degree;
+  std::uint64_t threshold;
+
+  explicit WalkKernel(const Multigraph& g)
+      : slots(g.slot_data()),
+        stride(g.max_degree()),
+        degree(g.Degree(0)),
+        threshold(0) {
+    OVERLAY_CHECK(degree > 0, "random step from isolated node");
+    OVERLAY_CHECK(g.IsRegular(degree),
+                  "token walks require a regular multigraph");
+    threshold = RejectionThreshold(degree);
   }
-}
 
-/// The walker-bucketed engine (flashmob-style): walkers stay bucketed by
-/// current shard — shard s owns the contiguous node block
-/// [s·block, (s+1)·block) — and every step runs two barrier phases on the
-/// pool:
-///
-///   phase A, by source shard: scan the shard's bucket in order drawing
-///     next slots from the shard's split RNG stream (all neighbor-slot
-///     reads are block-local), then counting-sort the moved walkers into
-///     per-destination-shard runs inside the shard's own staging segment;
-///   phase boundary: fold the S×S run-count matrix into next-bucket
-///     offsets and absolute run starts (O(S²) scalar work);
-///   phase B, by destination shard: concatenate the incoming runs in fixed
-///     source-shard order into the next bucket and count per-local-node
-///     loads destination-side; the boundary folds the per-shard maxima
-///     into max_load (the Lemma 3.2 accounting, exact per node per step).
-///
-/// Every buffer is hoisted here, before the step loop: the steady state is
-/// allocation-free. The RNG stream of shard s is fixed by (caller seed, S)
-/// and consumed in bucket order, which is itself a deterministic function
-/// of the previous step — so a fixed (seed, num_shards) replays
-/// bit-identically however phases land on workers.
-void WalkBucketed(const Multigraph& g, const TokenWalkOptions& opts, Rng& rng,
-                  std::size_t shards, std::vector<NodeId>& position,
-                  TokenWalkResult& result) {
-  const std::size_t n = g.num_nodes();
-  const std::size_t num_tokens = position.size();
-  const std::size_t stride = opts.walk_length + 1;
-  const std::size_t S = shards;
-  const std::size_t block = (n + S - 1) / S;
-  const auto shard_of = [block](NodeId v) {
-    return static_cast<std::size_t>(v) / block;
-  };
-
-  // Per-shard RNG streams keyed by shard index, hoisted across all steps.
-  std::vector<Rng> shard_rng;
-  shard_rng.reserve(S);
-  for (std::size_t s = 0; s < S; ++s) shard_rng.push_back(rng.Split());
-
-  // Walker buckets: (cur_pos, cur_tid) bucketed by current shard, bucket s
-  // spanning [bucket_off[s], bucket_off[s+1]). raw_next stages phase A's
-  // draws; (run_pos, run_tid) hold the per-(source, destination) runs; the
-  // next bucket layout is written back into (cur_pos, cur_tid), whose old
-  // values are dead once phase A scattered them.
-  std::vector<NodeId> cur_pos(num_tokens), raw_next(num_tokens),
-      run_pos(num_tokens);
-  std::vector<std::uint32_t> cur_tid(num_tokens), run_tid(num_tokens);
-  std::vector<std::size_t> bucket_off(S + 1, 0), new_off(S + 1, 0);
-
-  // Initial positions are v-major ascending, hence already bucket-sorted;
-  // token-index order within each bucket.
-  for (const NodeId v : position) ++bucket_off[shard_of(v) + 1];
-  for (std::size_t s = 0; s < S; ++s) bucket_off[s + 1] += bucket_off[s];
-  std::copy(position.begin(), position.end(), cur_pos.begin());
-  std::iota(cur_tid.begin(), cur_tid.end(), 0u);
-
-  // cnt[s·S + d] = walkers moving s→d this step; run_start[s·S + d] = the
-  // absolute start of run (s, d) in run_pos/run_tid; run_cursor is phase
-  // A's per-shard scatter cursor row.
-  std::vector<std::size_t> cnt(S * S, 0), run_start(S * S, 0),
-      run_cursor(S * S, 0);
-  // Destination-side load counters over each shard's local node block.
-  std::vector<std::vector<std::uint32_t>> shard_load(S);
-  for (std::size_t s = 0; s < S; ++s) {
-    const std::size_t lo = std::min(n, s * block);
-    const std::size_t hi = std::min(n, lo + block);
-    shard_load[s].assign(hi - lo, 0u);
-  }
-  std::vector<std::uint64_t> shard_max(S, 0);
-  const bool record = opts.record_paths;
-
-  const auto phase_a = [&](std::size_t s, std::size_t step) {
-    const std::size_t lo = bucket_off[s];
-    const std::size_t hi = bucket_off[s + 1];
-    std::size_t* const my_cnt = cnt.data() + s * S;
-    std::fill(my_cnt, my_cnt + S, 0);
-    Rng& my_rng = shard_rng[s];
-    for (std::size_t i = lo; i < hi; ++i) {
-      const NodeId next = g.RandomNeighbor(cur_pos[i], my_rng);
-      raw_next[i] = next;
-      ++my_cnt[shard_of(next)];
-      if (record) {
-        result.path_nodes[cur_tid[i] * stride + step + 1] = next;
-      }
-    }
-    // Counting-sort scatter into per-destination runs inside [lo, hi) —
-    // stable, so within a run walkers keep their bucket-scan order.
-    std::size_t* const my_cur = run_cursor.data() + s * S;
-    my_cur[0] = lo;
-    for (std::size_t d = 1; d < S; ++d) my_cur[d] = my_cur[d - 1] + my_cnt[d - 1];
-    for (std::size_t i = lo; i < hi; ++i) {
-      const std::size_t slot = my_cur[shard_of(raw_next[i])]++;
-      run_pos[slot] = raw_next[i];
-      run_tid[slot] = cur_tid[i];
-    }
-  };
-
-  const auto phase_b = [&](std::size_t d) {
-    // Gather: incoming runs concatenate in fixed source-shard order (and
-    // keep their intra-run order) — deterministic, scheduling-free.
-    std::size_t out = new_off[d];
-    for (std::size_t s = 0; s < S; ++s) {
-      const std::size_t c = cnt[s * S + d];
-      const std::size_t src = run_start[s * S + d];
-      std::copy_n(run_pos.begin() + src, c, cur_pos.begin() + out);
-      std::copy_n(run_tid.begin() + src, c, cur_tid.begin() + out);
-      out += c;
-    }
-    // Offered-load accounting, destination-side: exact per-node counts
-    // over this shard's local block after the move.
-    auto& load = shard_load[d];
-    std::fill(load.begin(), load.end(), 0u);
-    const std::size_t base = d * block;
-    for (std::size_t i = new_off[d]; i < new_off[d + 1]; ++i) {
-      ++load[cur_pos[i] - base];
-    }
-    std::uint64_t mx = 0;
-    for (const std::uint32_t x : load) mx = std::max<std::uint64_t>(mx, x);
-    shard_max[d] = mx;
-  };
-
-  const auto between = [&](std::size_t phase) {
-    if ((phase & 1) == 0) {
-      // After phase A: next-bucket offsets + absolute run starts.
-      new_off[0] = 0;
-      for (std::size_t d = 0; d < S; ++d) {
-        std::size_t total = 0;
-        for (std::size_t s = 0; s < S; ++s) total += cnt[s * S + d];
-        new_off[d + 1] = new_off[d] + total;
-      }
-      for (std::size_t s = 0; s < S; ++s) {
-        std::size_t at = bucket_off[s];
-        for (std::size_t d = 0; d < S; ++d) {
-          run_start[s * S + d] = at;
-          at += cnt[s * S + d];
+  /// Moves tokens [lo, hi) one step on `rng`, in index order, counting each
+  /// arrival into `load` and, when `path` is non-null, recording it in
+  /// column step + 1 of the path matrix. The stream is advanced on a local
+  /// copy, so its state stays in registers instead of a cache line that
+  /// neighbouring shards' streams share, and the loop is compiled once per
+  /// recording mode: a per-token path test cost about a fifth of the
+  /// step time on Line(2^14) walks.
+  void Step(Rng& rng, std::span<NodeId> position, std::size_t lo,
+            std::size_t hi, std::uint32_t* load, NodeId* path,
+            std::size_t path_stride, std::size_t step) const {
+    Rng local = rng;
+    const auto walk = [&](auto record) {
+      for (std::size_t i = lo; i < hi; ++i) {
+        const std::size_t at = position[i];
+        const NodeId next =
+            slots[at * stride + local.NextBelow(degree, threshold)];
+        position[i] = next;
+        ++load[next];
+        if constexpr (decltype(record)::value) {
+          path[i * path_stride + step + 1] = next;
         }
       }
+    };
+    if (path != nullptr) {
+      walk(std::true_type{});
     } else {
-      // After phase B: fold the step's load maxima, advance the buckets.
-      std::uint64_t step_max = 0;
-      for (const std::uint64_t mx : shard_max) step_max = std::max(step_max, mx);
-      result.max_load = std::max(result.max_load, step_max);
-      result.token_steps += num_tokens;
-      std::swap(bucket_off, new_off);
+      walk(std::false_type{});
     }
-  };
+    rng = local;
+  }
+};
+
+/// Walks every token ℓ steps over S token blocks. Shard s owns the token
+/// block [s·tb, (s+1)·tb) and the node block [s·nb, (s+1)·nb); every step
+/// runs two barrier phases on the pool:
+///
+///   even phase, by token block: step the shard's tokens on its RNG
+///     stream, counting arrivals into the shard's own load row;
+///   odd phase, by node block: sum the S load rows over the shard's nodes
+///     (zeroing them for the next step) and keep the block's maximum; the
+///     boundary folds the block maxima into max_load.
+///
+/// At S = 1 the one block is every token, walked on the caller's RNG
+/// itself — the historical serial stream, bit for bit. Above one shard,
+/// shard s walks on the s-th Split() of the caller's RNG. The slot matrix
+/// is shared read-only and every write is shard-private (a token row of
+/// position/path, a load row, or a node block of every load row), so a
+/// fixed (seed, num_shards) replays bit-identically however the phases
+/// land on workers.
+void Walk(const WalkKernel& kernel, const TokenWalkOptions& opts, Rng& rng,
+          std::size_t n, std::size_t shards, std::vector<NodeId>& position,
+          TokenWalkResult& result) {
+  const std::size_t num_tokens = position.size();
+  const std::size_t token_block = (num_tokens + shards - 1) / shards;
+  const std::size_t node_block = (n + shards - 1) / shards;
+  std::vector<Rng> split;
+  if (shards > 1) {
+    split.reserve(shards);
+    for (std::size_t s = 0; s < shards; ++s) split.push_back(rng.Split());
+  }
+  Rng* const stream = shards > 1 ? split.data() : &rng;
+  std::vector<std::uint32_t> load(shards * n, 0u);
+  std::vector<std::uint64_t> block_max(shards, 0);
+  NodeId* const path = opts.record_paths ? result.path_nodes.data() : nullptr;
 
   opts.exec.Pool().RunPhased(
-      S, 2 * opts.walk_length,
+      shards, 2 * opts.walk_length,
       [&](std::size_t s, std::size_t phase) {
         if ((phase & 1) == 0) {
-          phase_a(s, phase >> 1);
-        } else {
-          phase_b(s);
+          const std::size_t lo = std::min(num_tokens, s * token_block);
+          const std::size_t hi = std::min(num_tokens, lo + token_block);
+          kernel.Step(stream[s], position, lo, hi, load.data() + s * n, path,
+                      result.path_stride, phase >> 1);
+          return;
         }
+        const std::size_t lo = std::min(n, s * node_block);
+        const std::size_t hi = std::min(n, lo + node_block);
+        std::uint64_t mx = 0;
+        for (std::size_t v = lo; v < hi; ++v) {
+          std::uint64_t sum = 0;
+          for (std::size_t r = 0; r < shards; ++r) {
+            sum += std::exchange(load[r * n + v], 0u);
+          }
+          mx = std::max(mx, sum);
+        }
+        block_max[s] = mx;
       },
-      between);
-
-  // Back to token-index order for the shared CSR finalization: bucket
-  // order dies here.
-  for (std::size_t i = 0; i < num_tokens; ++i) {
-    position[cur_tid[i]] = cur_pos[i];
-  }
+      [&](std::size_t phase) {
+        if ((phase & 1) == 0) return;
+        for (const std::uint64_t mx : block_max) {
+          result.max_load = std::max(result.max_load, mx);
+        }
+        result.token_steps += num_tokens;
+      });
 }
 
-void CheckWalkOptions(const TokenWalkOptions& opts) {
+void CheckWalkOptions(std::size_t n, const TokenWalkOptions& opts) {
   OVERLAY_CHECK(opts.tokens_per_node >= 1, "need at least one token per node");
   OVERLAY_CHECK(opts.walk_length >= 1, "walks must take at least one step");
   OVERLAY_CHECK(opts.exec.num_shards >= 1, "need at least one shard");
+  // n · tokens_per_node <= 2^32, written so the product cannot overflow:
+  // every token index must fit the 32-bit arrival_token join column.
+  OVERLAY_CHECK(n == 0 || opts.tokens_per_node <= (std::uint64_t{1} << 32) / n,
+                "token count exceeds the 32-bit token index");
 }
 
 }  // namespace
 
 TokenWalkResult RunTokenWalks(const Multigraph& g, const TokenWalkOptions& opts,
                               Rng& rng) {
-  CheckWalkOptions(opts);
   const std::size_t n = g.num_nodes();
+  CheckWalkOptions(n, opts);
 
   TokenWalkResult result;
   std::vector<NodeId> position;
   InitTokens(n, opts, position, result);
   if (!position.empty()) {
-    const std::size_t shards = opts.exec.ShardsFor(n);
-    if (shards <= 1) {
-      // Serial fast path: the token-major loop, consuming the caller's RNG
-      // directly — the historical stream bit for bit.
-      WalkTokenMajor(g, opts, rng, position, result);
-    } else {
-      WalkBucketed(g, opts, rng, shards, position, result);
-    }
-  }
-  FinalizeArrivals(n, position, opts.record_paths, result);
-  return result;
-}
-
-TokenWalkResult RunTokenWalksTokenMajor(const Multigraph& g,
-                                        const TokenWalkOptions& opts,
-                                        Rng& rng) {
-  CheckWalkOptions(opts);
-  const std::size_t n = g.num_nodes();
-
-  TokenWalkResult result;
-  std::vector<NodeId> position;
-  InitTokens(n, opts, position, result);
-  if (!position.empty()) {
-    WalkTokenMajor(g, opts, rng, position, result);
+    Walk(WalkKernel(g), opts, rng, n, opts.exec.ShardsFor(n), position,
+         result);
   }
   FinalizeArrivals(n, position, opts.record_paths, result);
   return result;

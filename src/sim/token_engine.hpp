@@ -1,42 +1,35 @@
-// Walker-centric random-walk token engine (fast path of the simulator).
+// Random-walk token engine (fast path of the simulator).
 //
 // CreateExpander moves n·Δ/8 tokens for ℓ rounds per evolution. Routing each
 // token as a generic Message through SyncNetwork works but dominates runtime
-// at n = 2^15+, so this engine moves tokens directly over multigraph slot
-// arrays with *identical* semantics: one uniform incident slot per token per
-// round, per-node offered-load accounting per round, drop-free (Lemma 3.2:
-// loads stay below 3Δ/8 w.h.p., which the caller checks via max_offered_load).
+// at n = 2^15+, so this engine moves tokens directly over the multigraph's
+// slot matrix with *identical* semantics: one uniform incident slot per token
+// per round, per-node offered-load accounting per round, drop-free (Lemma
+// 3.2: loads stay below 3Δ/8 w.h.p., which the caller checks via max_load).
 // tests/token_engine_test.cpp verifies the endpoint distribution matches
 // the generic message-passing engine statistically.
 //
-// Execution layout (flashmob-style walker batching): above one shard the
-// engine keeps the active walkers *bucketed by current shard* — shard s owns
-// the contiguous node block [s·B, (s+1)·B) — and each step runs two
-// barrier-synchronized phases on the ShardPool:
+// One flat kernel: the walk graph is validated once per call (regular, with
+// a nonzero common degree Δ), so a step is one inlined xoshiro draw below a
+// hoisted rejection threshold plus one load of slot v·stride + r from the
+// Multigraph's slot matrix — no per-step checks, no per-node indirection.
 //
-//   phase A (by source shard): scan the shard's walker bucket in order,
-//     drawing each walker's next slot from the shard's split RNG stream —
-//     every neighbor-slot read falls inside the shard's node block, so the
-//     random-walk hot loop becomes a block-local scan instead of random
-//     access across the whole graph — then counting-sort the moved walkers
-//     into per-destination-shard runs (the same run-packed shape as the
-//     ShardedNetwork PackedRow staging);
-//   phase B (by destination shard): concatenate the incoming runs in fixed
-//     source-shard order into the shard's next bucket and count the
-//     per-node loads destination-side (the Lemma 3.2 accounting, exact per
-//     node per step, merged to max_load at the phase boundary).
-//
-// All buffers are hoisted before the step loop — the steady state is
-// allocation-free. num_shards = 1 is the historical token-major serial
-// stream (the caller's RNG consumed directly, token-index order); see
+// Execution layout: num_shards = 1 walks every token in index order on the
+// caller's RNG (the historical serial stream, bit for bit). Above one shard,
+// shard s walks the contiguous token block [s·B, (s+1)·B) on its own split
+// stream against the shared read-only matrix, counting arrivals into its own
+// per-node load row; each step then reduces the S rows by node block, so
+// the Lemma 3.2 max_load stays exact per node per step. Tokens are not
+// regrouped by graph position: CreateExpander's conductance growth (Lemma
+// 3.3) sends nearly every late-evolution step across any node partition, so
+// position buckets cost a scatter per step and buy no locality. See
 // ExecPolicy in sim/engine.hpp for the determinism contract.
 //
 // Results are structure-of-arrays like the network arenas: arrivals are one
 // CSR (origins + offsets, no per-node vectors) and recorded paths are one
-// flat (tokens × (ℓ+1)) matrix — at Δ/8 tokens per node the per-token-vector
-// layout used to cost one allocation per token. The CSR is finalized in
-// token-index order regardless of engine: bucket order never leaks into the
-// output layout.
+// flat (tokens × (ℓ+1)) matrix. Token indices are 32-bit, so a call may
+// launch at most 2^32 tokens; the CSR lists each node's arrivals in
+// token-index order at every shard count.
 #pragma once
 
 #include <cstdint>
@@ -117,25 +110,17 @@ struct TokenWalkOptions {
   /// unwinding); costs O(tokens · ℓ) memory.
   bool record_paths = false;
   /// Execution context (sim/engine.hpp): num_shards = 1 runs the exact
-  /// historical token-major serial stream; above 1 the walker-bucketed
-  /// engine keeps one split RNG stream per shard, keyed by shard index, so
-  /// a fixed (seed, num_shards) replays bit-identically regardless of
-  /// scheduling.
+  /// historical serial stream; above 1 each shard walks a contiguous token
+  /// block on its own split RNG stream, keyed by shard index, so a fixed
+  /// (seed, num_shards) replays bit-identically regardless of scheduling.
   ExecPolicy exec{};
 };
 
 /// Runs `tokens_per_node` independent lazy random walks of `walk_length`
 /// steps from every node of `g`. Each step picks a uniformly random slot of
-/// the token's current node (self-loop slots keep it in place).
+/// the token's current node (self-loop slots keep it in place). Requires a
+/// regular `g` with a nonzero degree and at most 2^32 tokens in total.
 TokenWalkResult RunTokenWalks(const Multigraph& g, const TokenWalkOptions& opts,
                               Rng& rng);
-
-/// The token-major serial reference engine: iterates tokens in index order
-/// each step, consuming the caller's RNG directly — the exact stream
-/// RunTokenWalks produces at num_shards = 1 (`opts.exec` is ignored). Kept
-/// as the differential baseline for the walker-bucketed engine and the
-/// bench_token_load throughput comparison.
-TokenWalkResult RunTokenWalksTokenMajor(const Multigraph& g,
-                                        const TokenWalkOptions& opts, Rng& rng);
 
 }  // namespace overlay

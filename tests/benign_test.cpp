@@ -91,7 +91,19 @@ TEST(CheckBenign, AcceptsFreshBenignGraph) {
 TEST(CheckBenign, DetectsIrregularity) {
   const Graph g = gen::Line(16);
   const auto params = ParamsFor(g);
-  Multigraph m = MakeBenign(g, params);
+  // MakeBenign fills every row to Δ; copy it into rows with one spare slot
+  // so a single extra loop can break regularity.
+  const Multigraph benign = MakeBenign(g, params);
+  Multigraph m(benign.num_nodes(), params.delta + 1);
+  for (NodeId v = 0; v < benign.num_nodes(); ++v) {
+    for (const NodeId w : benign.Slots(v)) {
+      if (w == v) {
+        m.AddSelfLoop(v);
+      } else if (v < w) {
+        m.AddEdge(v, w);
+      }
+    }
+  }
   m.AddSelfLoop(3);  // break regularity
   const auto report = CheckBenign(m, params);
   EXPECT_FALSE(report.regular);
@@ -102,12 +114,10 @@ TEST(CheckBenign, DetectsDisconnection) {
   ExpanderParams params;
   params.delta = 64;
   params.lambda = 8;
-  Multigraph m(4);
+  Multigraph m(4, 64);
   m.AddEdge(0, 1);
   m.AddEdge(2, 3);
-  for (NodeId v = 0; v < 4; ++v) {
-    while (m.Degree(v) < 64) m.AddSelfLoop(v);
-  }
+  m.PadWithSelfLoops();
   const auto report = CheckBenign(m, params);
   EXPECT_FALSE(report.connected);
   EXPECT_FALSE(report.AllHold(params.lambda));

@@ -15,11 +15,9 @@ namespace {
 /// Lazy Δ-regular multigraph from a simple graph: each node gets loops up to
 /// degree `delta` (requires delta >= 2*maxdeg for laziness).
 Multigraph Lazify(const Graph& g, std::size_t delta) {
-  Multigraph m(g.num_nodes());
+  Multigraph m(g.num_nodes(), delta);
   for (const auto& [u, v] : g.EdgeList()) m.AddEdge(u, v);
-  for (NodeId v = 0; v < m.num_nodes(); ++v) {
-    while (m.Degree(v) < delta) m.AddSelfLoop(v);
-  }
+  m.PadWithSelfLoops();
   return m;
 }
 
@@ -49,24 +47,22 @@ TEST(ExactConductance, RejectsLargeGraphs) {
 }
 
 TEST(ExactConductance, RejectsIrregular) {
-  Multigraph m(3);
+  Multigraph m(3, 2);
   m.AddEdge(0, 1);
   EXPECT_THROW(ExactConductance(m, 2), ContractViolation);
 }
 
 TEST(SpectralGap, RequiresRegularity) {
-  Multigraph m(3);
+  Multigraph m(3, 2);
   m.AddEdge(0, 1);
   EXPECT_THROW(LazySpectralGap(m, 2), ContractViolation);
 }
 
 TEST(SpectralGap, DisconnectedGraphHasZeroGap) {
-  Multigraph m(4);
+  Multigraph m(4, 2);
   m.AddEdge(0, 1);
   m.AddEdge(2, 3);
-  for (NodeId v = 0; v < 4; ++v) {
-    while (m.Degree(v) < 2) m.AddSelfLoop(v);
-  }
+  m.PadWithSelfLoops();
   EXPECT_NEAR(LazySpectralGap(m, 2, 500), 0.0, 1e-6);
 }
 

@@ -144,7 +144,7 @@ TEST(CreateExpander, ProvenanceStackDepthMatchesEvolutions) {
 }
 
 TEST(CreateExpander, RejectsIrregularInput) {
-  Multigraph bad(4);
+  Multigraph bad(4, 2);
   bad.AddEdge(0, 1);
   ExpanderParams params;
   EXPECT_THROW(CreateExpander(bad, params), ContractViolation);

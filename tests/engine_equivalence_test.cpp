@@ -19,6 +19,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -29,6 +30,7 @@
 #include "overlay/benign.hpp"
 #include "overlay/bfs_tree.hpp"
 #include "overlay/construct.hpp"
+#include "overlay/evolution.hpp"
 #include "overlay/evolution_mp.hpp"
 #include "overlay/monitoring.hpp"
 #include "overlay/service.hpp"
@@ -821,45 +823,180 @@ std::uint64_t ChecksumTokenWalks(const TokenWalkResult& r) {
 }
 
 Multigraph LazyRing(std::size_t n, std::size_t delta) {
-  Multigraph m(n);
+  Multigraph m(n, delta);
   for (NodeId v = 0; v < n; ++v) m.AddEdge(v, (v + 1) % n);
-  for (NodeId v = 0; v < n; ++v) {
-    while (m.Degree(v) < delta) m.AddSelfLoop(v);
-  }
+  m.PadWithSelfLoops();
   return m;
 }
 
-TEST(EngineEquivalence, TokenWalksBucketedEngineMatchesTokenMajorAtS1) {
-  // The ExecPolicy contract applied to the walker-bucketed token engine:
-  // num_shards = 1 IS the historical serial stream. RunTokenWalks at S=1
-  // must be bit-identical to the token-major reference loop — same RNG
-  // consumption order, same CSR arrivals, join column, paths, telemetry.
-  const Multigraph m = LazyRing(40, 8);
-  for (const std::uint64_t seed : {13ull, 29ull, 57ull}) {
-    const TokenWalkOptions opts{.tokens_per_node = 2,
-                                .walk_length = 5,
-                                .record_paths = true};
-    Rng rng_fast(seed);
-    Rng rng_ref(seed);
-    const auto fast = RunTokenWalks(m, opts, rng_fast);
-    const auto ref = RunTokenWalksTokenMajor(m, opts, rng_ref);
-    EXPECT_EQ(ChecksumTokenWalks(fast), ChecksumTokenWalks(ref))
-        << "seed " << seed;
-    EXPECT_EQ(fast.arrival_origins, ref.arrival_origins);
-    EXPECT_EQ(fast.arrival_token, ref.arrival_token);
-    EXPECT_EQ(fast.token_origin, ref.token_origin);
-    // Both engines must have drained the caller's RNG identically: the next
-    // draw continues the same stream.
-    EXPECT_EQ(rng_fast.Next(), rng_ref.Next()) << "seed " << seed;
+/// The serial walk loop as it stood before the flat kernel: tokens in index
+/// order, one bounds-checked Multigraph::RandomNeighbor per step. Walks the
+/// v-major tokens [lo, hi) on `rng`; the per-step load (and so max_load) is
+/// meaningful only when [lo, hi) covers every token.
+struct ReferenceWalks {
+  std::vector<NodeId> position;            ///< final node per token
+  std::vector<std::vector<NodeId>> paths;  ///< per token, origin first
+  std::uint64_t max_load = 0;
+  std::uint64_t token_steps = 0;
+};
+
+ReferenceWalks ReferenceTokenWalks(const Multigraph& g, std::size_t per_node,
+                                   std::size_t ell, Rng& rng, std::size_t lo,
+                                   std::size_t hi) {
+  ReferenceWalks r;
+  for (std::size_t i = lo; i < hi; ++i) {
+    r.position.push_back(static_cast<NodeId>(i / per_node));
+    r.paths.push_back({r.position.back()});
+  }
+  std::vector<std::uint64_t> load(g.num_nodes());
+  for (std::size_t step = 0; step < ell; ++step) {
+    std::fill(load.begin(), load.end(), 0);
+    for (std::size_t i = 0; i < r.position.size(); ++i) {
+      r.position[i] = g.RandomNeighbor(r.position[i], rng);
+      ++load[r.position[i]];
+      r.paths[i].push_back(r.position[i]);
+    }
+    r.token_steps += r.position.size();
+    r.max_load = std::max(r.max_load, *std::max_element(load.begin(), load.end()));
+  }
+  return r;
+}
+
+/// Walk inputs of three shapes: the benign line MakeBenign hands the first
+/// evolution, a lazy cycle, and the line after three evolutions (an
+/// expander-ish graph whose slots point everywhere).
+std::vector<std::pair<const char*, Multigraph>> WalkGraphs() {
+  const Graph line = gen::Line(96);
+  const auto params = ExpanderParams::ForSize(96, line.MaxDegree(), 5);
+  std::vector<std::pair<const char*, Multigraph>> graphs;
+  graphs.emplace_back("benign line", MakeBenign(line, params));
+  graphs.emplace_back("lazy cycle", LazyRing(40, 8));
+  Multigraph evolved = MakeBenign(line, params);
+  Rng rng(params.seed);
+  for (int i = 0; i < 3; ++i) evolved = RunEvolution(evolved, params, rng).next;
+  graphs.emplace_back("evolved line", std::move(evolved));
+  return graphs;
+}
+
+TEST(EngineEquivalence, TokenWalksAtS1MatchThePreKernelSerialLoop) {
+  // The flat kernel changed how a step reads the graph (one hoisted
+  // threshold, one slot-matrix load), not what it draws: at S = 1 it must
+  // reproduce the old RandomNeighbor loop exactly — CSR arrivals, join
+  // column, paths, load telemetry, and the caller's RNG end state.
+  for (const auto& [name, g] : WalkGraphs()) {
+    for (const std::uint64_t seed : {13ull, 29ull, 57ull}) {
+      const TokenWalkOptions opts{.tokens_per_node = 3,
+                                  .walk_length = 6,
+                                  .record_paths = true};
+      Rng rng_fast(seed);
+      Rng rng_ref(seed);
+      const auto fast = RunTokenWalks(g, opts, rng_fast);
+      const std::size_t n = g.num_nodes();
+      const auto ref = ReferenceTokenWalks(g, 3, 6, rng_ref, 0, 3 * n);
+      // The reference CSR: per-node arrivals pushed in token-index order.
+      std::vector<std::vector<std::uint32_t>> at(n);
+      for (std::size_t i = 0; i < ref.position.size(); ++i) {
+        at[ref.position[i]].push_back(static_cast<std::uint32_t>(i));
+      }
+      std::vector<std::size_t> offsets{0};
+      std::vector<NodeId> origins;
+      std::vector<std::uint32_t> tokens;
+      for (NodeId v = 0; v < n; ++v) {
+        for (const std::uint32_t i : at[v]) {
+          origins.push_back(static_cast<NodeId>(i / 3));
+          tokens.push_back(i);
+        }
+        offsets.push_back(origins.size());
+      }
+      EXPECT_EQ(fast.arrival_origins, origins) << name << " seed " << seed;
+      EXPECT_EQ(fast.arrival_offsets, offsets) << name << " seed " << seed;
+      EXPECT_EQ(fast.arrival_token, tokens) << name << " seed " << seed;
+      EXPECT_EQ(fast.max_load, ref.max_load) << name << " seed " << seed;
+      EXPECT_EQ(fast.token_steps, ref.token_steps) << name << " seed " << seed;
+      for (std::size_t i = 0; i < ref.paths.size(); ++i) {
+        const auto path = fast.PathOf(i);
+        ASSERT_TRUE(std::equal(path.begin(), path.end(), ref.paths[i].begin(),
+                               ref.paths[i].end()))
+            << name << " seed " << seed << " token " << i;
+      }
+      // Both loops drained the caller's RNG identically.
+      EXPECT_EQ(rng_fast.Next(), rng_ref.Next()) << name << " seed " << seed;
+    }
+  }
+}
+
+TEST(EngineEquivalence, TokenBlocksWalkOnPerShardSplitStreams) {
+  // Above one shard, shard s walks the contiguous token block
+  // [s·B, (s+1)·B), B = ceil(tokens / S), on the s-th Split() of the
+  // caller's RNG. Replaying each block through the reference loop on that
+  // stream must reproduce every recorded path, and the caller's RNG must
+  // end exactly S splits further on.
+  for (const auto& [name, g] : WalkGraphs()) {
+    const std::size_t n = g.num_nodes();
+    const std::size_t num_tokens = 3 * n;
+    for (const std::size_t shards : {2ul, 4ul, 8ul}) {
+      const std::uint64_t seed = 71 + shards;
+      Rng rng(seed);
+      const auto got = RunTokenWalks(g,
+                                     {.tokens_per_node = 3,
+                                      .walk_length = 6,
+                                      .record_paths = true,
+                                      .exec = {.num_shards = shards}},
+                                     rng);
+      Rng caller(seed);
+      std::vector<Rng> streams;
+      for (std::size_t s = 0; s < shards; ++s) streams.push_back(caller.Split());
+      const std::size_t block = (num_tokens + shards - 1) / shards;
+      for (std::size_t s = 0; s < shards; ++s) {
+        const std::size_t lo = std::min(num_tokens, s * block);
+        const std::size_t hi = std::min(num_tokens, lo + block);
+        const auto ref = ReferenceTokenWalks(g, 3, 6, streams[s], lo, hi);
+        for (std::size_t i = lo; i < hi; ++i) {
+          const auto path = got.PathOf(i);
+          ASSERT_TRUE(std::equal(path.begin(), path.end(),
+                                 ref.paths[i - lo].begin(),
+                                 ref.paths[i - lo].end()))
+              << name << " S " << shards << " token " << i;
+        }
+      }
+      EXPECT_EQ(rng.Next(), caller.Next()) << name << " S " << shards;
+    }
+  }
+}
+
+TEST(EngineEquivalence, TokenBlockMaxLoadIsExactPerStep) {
+  // Lemma 3.2's observable across the per-shard load rows: recount every
+  // step's per-node load from the recorded paths and require the engine's
+  // max_load to equal the largest count exactly — the node-block reduction
+  // may neither lose nor double-count a shard's arrivals.
+  for (const auto& [name, g] : WalkGraphs()) {
+    const std::size_t n = g.num_nodes();
+    for (const std::size_t shards : {2ul, 4ul, 8ul}) {
+      for (const std::uint64_t seed : {3ull, 4ull}) {
+        Rng rng(seed);
+        const auto r = RunTokenWalks(g,
+                                     {.tokens_per_node = 4,
+                                      .walk_length = 7,
+                                      .record_paths = true,
+                                      .exec = {.num_shards = shards}},
+                                     rng);
+        std::uint64_t want = 0;
+        for (std::size_t step = 1; step <= 7; ++step) {
+          std::vector<std::uint64_t> load(n, 0);
+          for (std::size_t i = 0; i < r.num_paths(); ++i) {
+            ++load[r.PathOf(i)[step]];
+          }
+          want = std::max(want, *std::max_element(load.begin(), load.end()));
+        }
+        EXPECT_EQ(r.max_load, want) << name << " S " << shards;
+        EXPECT_EQ(r.token_steps, 4u * n * 7u) << name << " S " << shards;
+      }
+    }
   }
 }
 
 TEST(EngineEquivalence, TokenWalksReplayPerShardCountAndConserve) {
-  Multigraph m(40);
-  for (NodeId v = 0; v < 40; ++v) m.AddEdge(v, (v + 1) % 40);
-  for (NodeId v = 0; v < 40; ++v) {
-    while (m.Degree(v) < 8) m.AddSelfLoop(v);
-  }
+  const Multigraph m = LazyRing(40, 8);
   for (const std::uint64_t seed : {13ull, 29ull}) {
     for (const std::size_t shards : kShardSweep) {
       const TokenWalkOptions opts{.tokens_per_node = 2,

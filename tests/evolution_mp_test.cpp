@@ -16,11 +16,11 @@ namespace {
 struct Setup {
   Graph input;
   ExpanderParams params;
-  Multigraph benign{0};
+  Multigraph benign;
 };
 
 Setup MakeSetup(std::size_t n, std::uint64_t seed = 1) {
-  Setup s{gen::Cycle(n), {}, Multigraph{0}};
+  Setup s{gen::Cycle(n), {}, Multigraph{}};
   s.params = ExpanderParams::ForSize(n, s.input.MaxDegree(), seed);
   s.benign = MakeBenign(s.input, s.params);
   return s;
@@ -144,7 +144,7 @@ TEST(EvolutionMp, SingleShardShardedEngineMatchesSync) {
 }
 
 TEST(EvolutionMp, RejectsIrregularInput) {
-  Multigraph bad(4);
+  Multigraph bad(4, 2);
   bad.AddEdge(0, 1);
   ExpanderParams params;
   EXPECT_THROW(RunEvolutionMessagePassing(bad, params), ContractViolation);

@@ -12,11 +12,11 @@ namespace {
 struct Setup {
   Graph input;
   ExpanderParams params;
-  Multigraph benign{0};
+  Multigraph benign;
 };
 
 Setup MakeSetup(std::size_t n, std::uint64_t seed = 1) {
-  Setup s{gen::Cycle(n), {}, Multigraph{0}};
+  Setup s{gen::Cycle(n), {}, Multigraph{}};
   s.params = ExpanderParams::ForSize(n, s.input.MaxDegree(), seed);
   s.benign = MakeBenign(s.input, s.params);
   return s;
@@ -43,10 +43,21 @@ TEST(Evolution, NonLoopDegreeCappedAtHalfDelta) {
 
 TEST(Evolution, RequiresRegularInput) {
   auto s = MakeSetup(16);
-  Multigraph irregular(4);
+  Multigraph irregular(4, 2);
   irregular.AddEdge(0, 1);
   Rng rng(3);
   EXPECT_THROW(RunEvolution(irregular, s.params, rng), ContractViolation);
+  // RunEvolution keys on the fill count, not the row capacity: one short
+  // row, or equal rows filled below Δ, is not a benign graph.
+  Multigraph short_row(16, s.params.delta);
+  for (NodeId v = 0; v < 16; ++v) short_row.AddEdge(v, (v + 1) % 16);
+  short_row.PadWithSelfLoops(0, 15);
+  Multigraph underfilled(16, s.params.delta);
+  for (NodeId v = 0; v < 16; ++v) underfilled.AddEdge(v, (v + 1) % 16);
+  EXPECT_THROW(RunEvolution(short_row, s.params, rng), ContractViolation);
+  EXPECT_THROW(RunEvolution(underfilled, s.params, rng), ContractViolation);
+  short_row.PadWithSelfLoops();
+  EXPECT_NO_THROW(RunEvolution(short_row, s.params, rng));
 }
 
 TEST(Evolution, TelemetryAccounting) {

@@ -11,7 +11,8 @@ namespace overlay {
 namespace {
 
 Multigraph FromGraph(const Graph& g, std::size_t copies = 1) {
-  Multigraph m(g.num_nodes());
+  // One spare slot per row for a test's own self-loop.
+  Multigraph m(g.num_nodes(), g.MaxDegree() * copies + 1);
   for (const auto& [u, v] : g.EdgeList()) {
     for (std::size_t c = 0; c < copies; ++c) m.AddEdge(u, v);
   }

@@ -107,6 +107,21 @@ TEST(SpanningTree, RejectsDisconnected) {
   EXPECT_THROW(BuildSpanningTree(g, {.seed = 1}), ContractViolation);
 }
 
+TEST(SpanningTree, RejectsExpanderDeltaBelowTwiceDegreeTimesLambda) {
+  // Δ = 8 < 2·deg(H)·Λ = 16·deg(H): the prepared graph could not be lazy.
+  HybridOverlayOptions opts{.seed = 1};
+  opts.expander.lambda = 8;
+  opts.expander.delta = 8;
+  try {
+    BuildSpanningTree(gen::Cycle(16), opts);
+    FAIL() << "Δ below 2·deg(H)·Λ was accepted";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("HybridExpanderOptions::delta"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(SpanningTree, DeterministicInSeed) {
   const Graph g = gen::Cycle(64);
   const auto a = BuildSpanningTree(g, {.seed = 33});

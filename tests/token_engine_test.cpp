@@ -1,4 +1,4 @@
-// Tests for the vectorized token-walk engine, including the statistical
+// Tests for the flat token-walk kernel, including the statistical
 // equivalence check against a message-passing walk on SyncNetwork. Results
 // use the SoA layout: CSR arrivals (ArrivalsAt) and a flat path matrix
 // (PathOf), mirroring the network engines' arena format.
@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "common/check.hpp"
@@ -19,11 +20,9 @@ namespace overlay {
 namespace {
 
 Multigraph LazyCycle(std::size_t n, std::size_t delta) {
-  Multigraph m(n);
+  Multigraph m(n, delta);
   for (NodeId v = 0; v < n; ++v) m.AddEdge(v, (v + 1) % n);
-  for (NodeId v = 0; v < n; ++v) {
-    while (m.Degree(v) < delta) m.AddSelfLoop(v);
-  }
+  m.PadWithSelfLoops();
   return m;
 }
 
@@ -138,14 +137,13 @@ TEST(TokenEngine, ShardedWalksDeterministicAndConserving) {
   }
 }
 
-TEST(TokenEngine, BucketOrderNeverLeaksIntoArrivalOrder) {
-  // The walker-bucketed engine traverses walkers shard bucket by shard
-  // bucket, but the CSR contract is token-index order within every node's
-  // arrival bucket (the order the serial engine's per-node push_backs
-  // produced). The join column makes the contract checkable: it must be
-  // strictly ascending inside each bucket at every shard count.
+TEST(TokenEngine, ArrivalOrderIsTokenIndexOrderAtEveryShardCount) {
+  // Above one shard every shard walks its own contiguous token block, but
+  // the CSR contract is token-index order within every node's arrival
+  // bucket at every shard count. The join column makes the contract
+  // checkable: it must be strictly ascending inside each bucket.
   const Multigraph m = LazyCycle(48, 8);
-  for (const std::size_t shards : {2ul, 4ul, 8ul}) {
+  for (const std::size_t shards : {1ul, 2ul, 4ul, 8ul}) {
     Rng rng(21);
     const auto r = RunTokenWalks(m,
                                  {.tokens_per_node = 3,
@@ -158,14 +156,94 @@ TEST(TokenEngine, BucketOrderNeverLeaksIntoArrivalOrder) {
       const auto origins = r.ArrivalsAt(v);
       for (std::size_t i = 0; i + 1 < tokens.size(); ++i) {
         ASSERT_LT(tokens[i], tokens[i + 1])
-            << "bucket order leaked at node " << v << " S " << shards;
+            << "arrivals out of token order at node " << v << " S " << shards;
       }
-      // Origins and the join column stay in lockstep.
+      // Origins and the join column stay in lockstep, and every arrival is
+      // the endpoint of its own path.
       for (std::size_t i = 0; i < tokens.size(); ++i) {
         ASSERT_EQ(origins[i], r.token_origin[tokens[i]]);
+        ASSERT_EQ(r.PathOf(tokens[i]).back(), v);
       }
     }
   }
+}
+
+TEST(TokenEngine, TokenBlocksSurviveUnevenSplits) {
+  // Token and node blocks are ceil-sized, so trailing shards may own short
+  // or empty blocks (5 nodes × 1 token over 4 shards leaves shard 3 one
+  // token; over 5 shards every block holds one). Every token still walks
+  // every step and the load fold still sees every node.
+  const Multigraph m = LazyCycle(5, 4);
+  for (const std::size_t shards : {2ul, 3ul, 4ul, 5ul, 8ul}) {
+    Rng rng(8);
+    const auto r = RunTokenWalks(m,
+                                 {.tokens_per_node = 1,
+                                  .walk_length = 7,
+                                  .record_paths = true,
+                                  .exec = {.num_shards = shards}},
+                                 rng);
+    EXPECT_EQ(r.token_steps, 5u * 7u) << "S " << shards;
+    EXPECT_EQ(r.arrival_offsets.back(), 5u) << "S " << shards;
+    EXPECT_GE(r.max_load, 1u);
+    for (std::size_t i = 0; i < r.num_paths(); ++i) {
+      for (const NodeId at : r.PathOf(i)) ASSERT_LT(at, 5u) << "S " << shards;
+    }
+  }
+}
+
+TEST(TokenEngine, RejectsIrregularOrEmptyGraphs) {
+  // The kernel validates the graph once per call instead of per step: rows
+  // of unequal fill, or an all-empty graph, are contract violations.
+  Multigraph irregular(4, 4);
+  irregular.AddEdge(0, 1);
+  irregular.PadWithSelfLoops(0, 3);
+  Rng rng(1);
+  for (const std::size_t shards : {1ul, 2ul}) {
+    EXPECT_THROW(RunTokenWalks(irregular,
+                               {.tokens_per_node = 1,
+                                .walk_length = 2,
+                                .exec = {.num_shards = shards}},
+                               rng),
+                 ContractViolation);
+  }
+  const Multigraph empty(4, 4);
+  EXPECT_THROW(
+      RunTokenWalks(empty, {.tokens_per_node = 1, .walk_length = 2}, rng),
+      ContractViolation);
+  // Regular rows below capacity are fine: the kernel draws below the common
+  // degree, not the row capacity.
+  Multigraph partial(6, 8);
+  for (NodeId v = 0; v < 6; ++v) partial.AddEdge(v, (v + 1) % 6);
+  Rng walk_rng(2);
+  const auto r = RunTokenWalks(
+      partial, {.tokens_per_node = 2, .walk_length = 4, .record_paths = true},
+      walk_rng);
+  for (std::size_t i = 0; i < r.num_paths(); ++i) {
+    const auto path = r.PathOf(i);
+    for (std::size_t t = 0; t + 1 < path.size(); ++t) {
+      const NodeId d = (path[t + 1] + 6 - path[t]) % 6;
+      ASSERT_TRUE(d == 1 || d == 5) << "token " << i << " left the ring";
+    }
+  }
+}
+
+TEST(TokenEngine, RejectsTokenCountBeyondThe32BitIndex) {
+  // Token indices are 32-bit (the arrival_token join column), so one call
+  // may launch at most 2^32 tokens. 2^20 nodes × 4097 tokens is 2^32 + 2^20:
+  // the options check must reject it before allocating a single token.
+  Multigraph m(std::size_t{1} << 20, 1);
+  m.PadWithSelfLoops();
+  Rng rng(3);
+  const Rng before = rng;
+  try {
+    RunTokenWalks(m, {.tokens_per_node = 4097, .walk_length = 1}, rng);
+    FAIL() << "2^32 + 2^20 tokens were accepted";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("32-bit"), std::string::npos)
+        << e.what();
+  }
+  Rng untouched = before;
+  EXPECT_EQ(rng.Next(), untouched.Next()) << "rejected call consumed the RNG";
 }
 
 TEST(TokenEngine, ArrivalTokensReadableForEmptyBuckets) {
@@ -228,8 +306,9 @@ TEST(TokenEngine, PermuteArrivalBucketKeepsOriginsAndJoinInLockstep) {
 
 TEST(TokenEngine, SmokeAtEnvShardCount) {
   // CI's TSan shard-count matrix drives this test at S ∈ {1, 2, 4} via
-  // TOKEN_ENGINE_SMOKE_SHARDS, putting the bucketed phase machinery under
-  // the race detector at every shard shape; unset, it defaults to S=2.
+  // TOKEN_ENGINE_SMOKE_SHARDS, putting the token-block walk and load-reduce
+  // phases under the race detector at every shard shape; unset, it
+  // defaults to S=2.
   std::size_t shards = 2;
   if (const char* env = std::getenv("TOKEN_ENGINE_SMOKE_SHARDS")) {
     const auto parsed = std::strtoull(env, nullptr, 10);
@@ -262,13 +341,11 @@ TEST(TokenEngine, MixedWalkIsNearUniformOnExpander) {
   // After a long walk on a lazy complete graph, endpoints should be close
   // to uniform.
   const std::size_t n = 16;
-  Multigraph m(n);
+  Multigraph m(n, 30);
   for (NodeId u = 0; u < n; ++u) {
     for (NodeId v = u + 1; v < n; ++v) m.AddEdge(u, v);
   }
-  for (NodeId v = 0; v < n; ++v) {
-    while (m.Degree(v) < 30) m.AddSelfLoop(v);
-  }
+  m.PadWithSelfLoops();
   Rng rng(7);
   const auto result = RunTokenWalks(m, {.tokens_per_node = 500, .walk_length = 12}, rng);
   const double expected = 500.0;
